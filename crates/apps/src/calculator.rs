@@ -331,6 +331,10 @@ mod tests {
         .unwrap();
         let completed = run_add_workload(&net, host.endpoint(), 8, 3);
         assert_eq!(completed, 24);
-        assert!(host.completed_sessions() >= 24);
+        assert!(
+            host.telemetry_snapshot()
+                .counter("starlink_sessions_finished_total")
+                >= 24
+        );
     }
 }

@@ -87,10 +87,12 @@ impl RedirectProxy {
                             Ok(r) => r,
                             Err(_) => return,
                         };
+                        // Count before the reply goes out: a client that
+                        // has its reply must already see the exchange.
+                        counter.fetch_add(1, Ordering::SeqCst);
                         if client.send(&reply).is_err() {
                             return;
                         }
-                        counter.fetch_add(1, Ordering::SeqCst);
                     }
                 }));
             }

@@ -15,10 +15,15 @@
 //!                                        fetch or parse a Chrome trace, validate,
 //!                                        print a per-session timeline
 //! starlink health <endpoint-or-file> [--watch] [--interval <secs>] [--count <n>]
-//!                                        fetch or parse a health report; exit code
-//!                                        0 healthy / 1 degraded / 2 unhealthy
+//!                                        read the health gauges of a snapshot; exit
+//!                                        code 0 healthy / 1 degraded / 2 unhealthy
 //!                                        (3 = could not fetch or parse)
 //! ```
+//!
+//! An endpoint is a mediator's diagnostics endpoint
+//! (`MediatorHost::expose_diagnostics`): `stats` and `health` send it the
+//! `stats` selector, `trace` sends `traces`, and an `error: …` reply is
+//! reported as the command's error.
 //!
 //! Registry file format (one declaration per line):
 //!
@@ -36,7 +41,8 @@ use starlink_message::equiv::SemanticRegistry;
 use starlink_mtl::MtlProgram;
 use starlink_net::{Endpoint, NetError, NetworkEngine};
 use starlink_telemetry::{
-    parse_chrome_trace, validate_chrome_trace, ChromeEvent, HealthReport, HealthStatus, Snapshot,
+    parse_chrome_trace, validate_chrome_trace, ChromeEvent, HealthCheck, HealthStatus, PairHealth,
+    Snapshot,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -84,9 +90,13 @@ USAGE:
                                          fetch or parse a Chrome trace, validate,
                                          print a per-session timeline
   starlink health <endpoint-or-file> [--watch] [--interval <secs>] [--count <n>]
-                                         fetch or parse a health report; exit code
-                                         0 healthy / 1 degraded / 2 unhealthy
+                                         read the health gauges of a snapshot; exit
+                                         code 0 healthy / 1 degraded / 2 unhealthy
                                          (3 = could not fetch or parse)
+
+An <endpoint> (e.g. tcp://127.0.0.1:7070) is a mediator's diagnostics
+endpoint: stats and health send it the `stats` selector, trace sends
+`traces`. A <file> is a saved snapshot or Chrome trace.
 ";
 
 fn read(path: &str) -> Result<String, String> {
@@ -259,17 +269,12 @@ fn cmd_merge(args: &[String]) -> Result<(), String> {
 /// How long a fetch waits for the endpoint's reply frame.
 const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Fetches one text frame from an endpoint, or reads a file — shared by
-/// `stats` and `trace`, which both accept either form.
-fn fetch_or_read(cmd: &str, target: &str) -> Result<String, String> {
-    fetch_or_read_with(cmd, target, None)
-}
-
-/// Like [`fetch_or_read`], optionally sending a diagnostics selector
-/// frame first (the `health` command's request protocol). Errors name
-/// the endpoint tried and distinguish a refused connection from an
-/// endpoint that accepted but never answered (or answered empty).
-fn fetch_or_read_with(cmd: &str, target: &str, request: Option<&str>) -> Result<String, String> {
+/// Fetches one reply frame from a diagnostics endpoint by sending it
+/// `selector`, or reads a file. Errors name the endpoint tried,
+/// distinguish a refused connection from an endpoint that accepted but
+/// never answered (or answered empty), and carry an `error: …` reply as
+/// the error itself.
+fn fetch_or_read(cmd: &str, target: &str, selector: &str) -> Result<String, String> {
     if !target.contains("://") {
         return read(target);
     }
@@ -279,10 +284,8 @@ fn fetch_or_read_with(cmd: &str, target: &str, request: Option<&str>) -> Result<
     let mut conn = NetworkEngine::with_defaults().connect(&endpoint).map_err(|e| {
         format!("{cmd}: cannot connect to {target}: {e} (is the endpoint exposed and the host running?)")
     })?;
-    if let Some(selector) = request {
-        conn.send(selector.as_bytes())
-            .map_err(|e| format!("{cmd}: sending request to {target}: {e}"))?;
-    }
+    conn.send(selector.as_bytes())
+        .map_err(|e| format!("{cmd}: sending request to {target}: {e}"))?;
     let frame = match conn.receive_timeout(FETCH_TIMEOUT) {
         Ok(frame) => frame,
         Err(NetError::Closed) => {
@@ -302,14 +305,19 @@ fn fetch_or_read_with(cmd: &str, target: &str, request: Option<&str>) -> Result<
     if frame.is_empty() {
         return Err(format!("{cmd}: {target} sent an empty frame"));
     }
-    String::from_utf8(frame).map_err(|_| format!("{cmd}: {target}: frame is not UTF-8"))
+    let text =
+        String::from_utf8(frame).map_err(|_| format!("{cmd}: {target}: frame is not UTF-8"))?;
+    match text.strip_prefix("error:") {
+        Some(message) => Err(format!("{cmd}: {target}: {}", message.trim())),
+        None => Ok(text),
+    }
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
     let [target] = args else {
         return Err("stats: exactly one <endpoint> or <snapshot file> expected".into());
     };
-    let text = fetch_or_read("stats", target)?;
+    let text = fetch_or_read("stats", target, "stats")?;
     let snapshot = Snapshot::parse_text(&text).map_err(|e| format!("stats: {target}: {e}"))?;
     print!("{}", summarise_snapshot(&snapshot));
     print!("{}", snapshot.render_text());
@@ -411,7 +419,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let Some(target) = target else {
         return Err("trace: exactly one <endpoint> or <trace file> expected".into());
     };
-    let json = fetch_or_read("trace", &target)?;
+    let json = fetch_or_read("trace", &target, "traces")?;
     let stats = validate_chrome_trace(&json).map_err(|e| format!("trace: {target}: {e}"))?;
     println!(
         "# trace: {} event(s), {} span pair(s), {} session track(s)",
@@ -503,43 +511,39 @@ fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
             }
             _ => {
                 if target.replace(args[i].clone()).is_some() {
-                    return Err("health: exactly one <endpoint> or <report file> expected".into());
+                    return Err("health: exactly one <endpoint> or <snapshot file> expected".into());
                 }
                 i += 1;
             }
         }
     }
     let Some(target) = target else {
-        return Err("health: exactly one <endpoint> or <report file> expected".into());
+        return Err("health: exactly one <endpoint> or <snapshot file> expected".into());
     };
     if !watch {
-        return Ok(match fetch_health(&target) {
-            Ok(report) => {
-                print!("{}", render_health(&report));
-                ExitCode::from(report.overall.exit_code())
-            }
-            Err(e) => {
-                eprintln!("starlink: {e}");
-                ExitCode::from(3)
-            }
-        });
+        let health = fetch_health(&target);
+        match &health {
+            Ok(pairs) => print!("{}", render_health(pairs)),
+            Err(e) => eprintln!("starlink: {e}"),
+        }
+        return Ok(ExitCode::from(health_exit_code(&health)));
     }
     // Watch mode: poll at the interval, printing one line per poll with
     // the checks that changed status since the previous one. The exit
     // code reflects the last poll.
-    let mut last: Option<HealthReport> = None;
+    let mut last: Option<Vec<PairHealth>> = None;
     let mut last_code;
     let mut polls = 0u64;
     loop {
-        match fetch_health(&target) {
-            Ok(report) => {
-                println!("{}", watch_line(&report, last.as_ref()));
-                last_code = report.overall.exit_code();
-                last = Some(report);
+        let health = fetch_health(&target);
+        last_code = health_exit_code(&health);
+        match health {
+            Ok(pairs) => {
+                println!("{}", watch_line(&pairs, last.as_deref()));
+                last = Some(pairs);
             }
             Err(e) => {
                 eprintln!("starlink: {e}");
-                last_code = 3;
                 last = None;
             }
         }
@@ -552,21 +556,84 @@ fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::from(last_code))
 }
 
-/// Fetches (sending the `health` diagnostics selector) or reads, then
-/// parses, one health report. A server-side error frame (`error: …`) is
-/// surfaced as the error message rather than a parse failure.
-fn fetch_health(target: &str) -> Result<HealthReport, String> {
-    let text = fetch_or_read_with("health", target, Some("health"))?;
-    if let Some(message) = text.strip_prefix("error:") {
-        return Err(format!("health: {target}: {}", message.trim()));
+/// Fetches (with the `stats` selector) or reads one snapshot and decodes
+/// its health gauges.
+fn fetch_health(target: &str) -> Result<Vec<PairHealth>, String> {
+    let text = fetch_or_read("health", target, "stats")?;
+    health_from_snapshot(&text).map_err(|e| format!("health: {target}: {e}"))
+}
+
+/// Decodes the health gauges of a rendered snapshot: one [`PairHealth`]
+/// per `starlink_health_status{pair}` sample, with its checks from
+/// `starlink_health_check{pair,check,reason}`.
+fn health_from_snapshot(text: &str) -> Result<Vec<PairHealth>, String> {
+    let snap = Snapshot::parse_text(text).map_err(|e| e.to_string())?;
+    let samples = |name: &str| {
+        snap.family(name)
+            .map(|f| f.samples.as_slice())
+            .unwrap_or_default()
+    };
+    let label = |labels: &[(String, String)], key: &str| {
+        labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .ok_or_else(|| format!("health gauge without a `{key}` label"))
+    };
+    let status = |value: u64| match value {
+        0 => Ok(HealthStatus::Healthy),
+        1 => Ok(HealthStatus::Degraded),
+        2 => Ok(HealthStatus::Unhealthy),
+        other => Err(format!("health gauge value {other} is not 0, 1 or 2")),
+    };
+    let mut pairs = samples("starlink_health_status")
+        .iter()
+        .map(|s| {
+            Ok(PairHealth {
+                pair: label(&s.labels, "pair")?,
+                status: status(s.value)?,
+                checks: Vec::new(),
+            })
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if pairs.is_empty() {
+        return Err("snapshot has no starlink_health_status gauge".to_owned());
     }
-    HealthReport::parse_text(&text).map_err(|e| format!("health: {target}: {e}"))
+    for s in samples("starlink_health_check") {
+        let pair = label(&s.labels, "pair")?;
+        let Some(owner) = pairs.iter_mut().find(|p| p.pair == pair) else {
+            continue;
+        };
+        owner.checks.push(HealthCheck {
+            name: label(&s.labels, "check")?,
+            status: status(s.value)?,
+            reason: label(&s.labels, "reason")?,
+        });
+    }
+    Ok(pairs)
+}
+
+/// The worst status across pairs (the overall verdict).
+fn overall(pairs: &[PairHealth]) -> HealthStatus {
+    pairs
+        .iter()
+        .map(|p| p.status)
+        .max()
+        .unwrap_or(HealthStatus::Healthy)
+}
+
+/// The `starlink health` exit code: the overall verdict's 0/1/2, or 3
+/// when the health could not be fetched or decoded.
+fn health_exit_code(health: &Result<Vec<PairHealth>, String>) -> u8 {
+    health
+        .as_ref()
+        .map_or(3, |pairs| overall(pairs).exit_code())
 }
 
 /// Full human-readable report: overall verdict, then each pair's checks.
-fn render_health(report: &HealthReport) -> String {
-    let mut out = format!("overall: {}\n", report.overall);
-    for pair in &report.pairs {
+fn render_health(pairs: &[PairHealth]) -> String {
+    let mut out = format!("overall: {}\n", overall(pairs));
+    for pair in pairs {
         out.push_str(&format!("pair {}: {}\n", pair.pair, pair.status));
         for check in &pair.checks {
             out.push_str(&format!(
@@ -583,10 +650,10 @@ fn render_health(report: &HealthReport) -> String {
 /// One `--watch` line: the overall verdict plus deltas — checks whose
 /// status changed since the previous poll (or, on the first poll, every
 /// check that is not healthy).
-fn watch_line(report: &HealthReport, last: Option<&HealthReport>) -> String {
-    let mut line = format!("health {}", report.overall);
-    for pair in &report.pairs {
-        let prev_pair = last.and_then(|l| l.pairs.iter().find(|p| p.pair == pair.pair));
+fn watch_line(pairs: &[PairHealth], last: Option<&[PairHealth]>) -> String {
+    let mut line = format!("health {}", overall(pairs));
+    for pair in pairs {
+        let prev_pair = last.and_then(|l| l.iter().find(|p| p.pair == pair.pair));
         for check in &pair.checks {
             let prev = prev_pair
                 .and_then(|p| p.checks.iter().find(|c| c.name == check.name))
@@ -675,6 +742,60 @@ mod tests {
             "missing quantile line in:\n{digest}"
         );
         assert!(digest.contains("(n=5)"), "missing count in:\n{digest}");
+    }
+
+    #[test]
+    fn health_verdict_and_exit_code_come_from_snapshot_gauges() {
+        let rendered = |status: HealthStatus, reason: &str| {
+            let pair = PairHealth {
+                pair: "Add Client ~ Plus\\Service".to_owned(),
+                status,
+                checks: vec![HealthCheck {
+                    name: "failure-rate".to_owned(),
+                    status,
+                    reason: reason.to_owned(),
+                }],
+            };
+            Snapshot {
+                families: pair.families(),
+            }
+            .render_text()
+        };
+        for (status, code) in [
+            (HealthStatus::Healthy, 0),
+            (HealthStatus::Degraded, 1),
+            (HealthStatus::Unhealthy, 2),
+        ] {
+            let health = health_from_snapshot(&rendered(status, "0 failed / 0 started"));
+            assert_eq!(health_exit_code(&health), code, "{status}");
+        }
+
+        // Reasons are label text: spaces, quotes and backslashes survive.
+        let reason = r#"3 failed / 9 started (last 60s), worst stage "mdl \ parse"=3"#;
+        let pairs = health_from_snapshot(&rendered(HealthStatus::Degraded, reason)).unwrap();
+        assert_eq!(pairs[0].pair, "Add Client ~ Plus\\Service");
+        assert_eq!(pairs[0].checks[0].name, "failure-rate");
+        assert_eq!(pairs[0].checks[0].reason, reason);
+        let report = render_health(&pairs);
+        assert!(report.starts_with("overall: degraded\n"), "{report}");
+        assert!(report.contains(reason), "{report}");
+
+        // The overall verdict is the worst status sample.
+        let two_pairs = "# TYPE starlink_health_status gauge\n\
+                         starlink_health_status{pair=\"A\"} 0\n\
+                         starlink_health_status{pair=\"B\"} 2\n";
+        assert_eq!(health_exit_code(&health_from_snapshot(two_pairs)), 2);
+
+        // No status gauge, or no snapshot at all: exit 3.
+        let no_health = "# TYPE starlink_sessions_started_total counter\n\
+                         starlink_sessions_started_total 4\n";
+        let missing = health_from_snapshot(no_health);
+        assert!(missing
+            .as_ref()
+            .unwrap_err()
+            .contains("starlink_health_status"));
+        assert_eq!(health_exit_code(&missing), 3);
+        assert_eq!(health_exit_code(&health_from_snapshot("not a snapshot")), 3);
     }
 
     #[test]

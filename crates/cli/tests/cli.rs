@@ -194,22 +194,28 @@ fn stats_renders_snapshot_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn stats_fetches_snapshot_over_tcp() {
+/// A one-shot diagnostics endpoint on an ephemeral TCP port: accepts one
+/// connection, reads its selector frame, answers with `reply`. The
+/// handle yields the selector the client sent.
+fn serve_once(reply: String) -> (String, std::thread::JoinHandle<String>) {
     let listener = starlink_net::NetworkEngine::with_defaults()
         .listen(&"tcp://127.0.0.1:0".parse().unwrap())
         .unwrap();
-    let endpoint = listener.local_endpoint();
+    let endpoint = listener.local_endpoint().to_string();
     let server = std::thread::spawn(move || {
         let mut conn = listener.accept().unwrap();
-        conn.send(sample_snapshot_text().as_bytes()).unwrap();
+        let selector = conn.receive().unwrap();
+        conn.send(reply.as_bytes()).unwrap();
+        String::from_utf8(selector).unwrap()
     });
-    let output = bin()
-        .arg("stats")
-        .arg(endpoint.to_string())
-        .output()
-        .unwrap();
-    server.join().unwrap();
+    (endpoint, server)
+}
+
+#[test]
+fn stats_fetches_snapshot_over_tcp() {
+    let (endpoint, server) = serve_once(sample_snapshot_text());
+    let output = bin().arg("stats").arg(&endpoint).output().unwrap();
+    assert_eq!(server.join().unwrap(), "stats");
     assert!(
         output.status.success(),
         "stderr: {}",
@@ -217,6 +223,51 @@ fn stats_fetches_snapshot_over_tcp() {
     );
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("starlink_sessions_started_total 1"));
+}
+
+#[test]
+fn health_reads_gauges_from_the_stats_selector() {
+    use starlink_telemetry::{HealthCheck, HealthStatus, PairHealth, Snapshot};
+    let pair = PairHealth {
+        pair: "Add+Plus".to_owned(),
+        status: HealthStatus::Degraded,
+        checks: vec![HealthCheck {
+            name: "stalled-sessions".to_owned(),
+            status: HealthStatus::Degraded,
+            reason: "1 stalled now, 1 stall events (last 60s)".to_owned(),
+        }],
+    };
+    let mut snapshot = Snapshot::parse_text(&sample_snapshot_text()).unwrap();
+    snapshot.families.extend(pair.families());
+    let (endpoint, server) = serve_once(snapshot.render_text());
+    let output = bin().arg("health").arg(&endpoint).output().unwrap();
+    assert_eq!(server.join().unwrap(), "stats");
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("overall: degraded"), "{stdout}");
+    assert!(
+        stdout.contains("stalled-sessions  degraded  1 stalled now, 1 stall events (last 60s)"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn error_frames_are_reported_as_errors() {
+    let reply = "error: tracing not enabled (call Mediator::enable_tracing before deploying)\n";
+    let (endpoint, server) = serve_once(reply.to_owned());
+    let output = bin().arg("trace").arg(&endpoint).output().unwrap();
+    assert_eq!(server.join().unwrap(), "traces");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("tracing not enabled"), "{stderr}");
+
+    // `health` keeps its contract: any fetch failure is exit 3.
+    let (endpoint, server) = serve_once(reply.to_owned());
+    let output = bin().arg("health").arg(&endpoint).output().unwrap();
+    server.join().unwrap();
+    assert_eq!(output.status.code(), Some(3), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("tracing not enabled"), "{stderr}");
 }
 
 #[test]

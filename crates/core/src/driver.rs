@@ -6,7 +6,7 @@
 //! [`crate::MediatorHost`].
 
 use crate::error::CoreError;
-use crate::ops::{OpsRuntime, SessionEntry, StallPolicy};
+use crate::ops::SessionWatch;
 use crate::session_core::{
     SessionCore, SessionEvent, SessionIo, SessionOutcome, SessionPersist, SessionSpec,
 };
@@ -18,15 +18,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Per-connection view of the operations plane: the host's shared
-/// runtime plus this connection's directory id. `None` when the mediator
-/// never called `enable_ops` — the driver then pays nothing beyond one
-/// `Option` check per receive.
-pub(crate) struct SessionWatch {
-    pub ops: Arc<OpsRuntime>,
-    pub id: u64,
-}
 
 /// Mutable per-connection state shared across successive traversals on
 /// the same client connection (the translation cache persists so that
@@ -148,13 +139,7 @@ fn drive(
             });
         };
         if let Some(w) = watch {
-            w.ops.directory.upsert(SessionEntry {
-                id: w.id,
-                state: core.current_state().to_owned(),
-                awaiting: Some(color),
-                since: Instant::now(),
-                stalled: false,
-            });
+            w.awaiting(core.current_state(), Some(color));
         }
         let wire = if color == spec.client_color {
             receive_watched(client_conn, timeout, stop, watch, core)?
@@ -173,15 +158,10 @@ fn drive(
 
 /// Blocking receive that honours an optional stop flag and an optional
 /// stall watchdog by receiving in short slices. Timeout and close
-/// semantics match a plain `receive_timeout` call.
-///
-/// Once the wait exceeds the watchdog's stall deadline the session is
-/// flagged (`SessionCore::note_stalled` emits `SessionStalled` once per
-/// episode, the directory entry is marked, and the stalled gauge rises);
-/// under [`StallPolicy::Abort`] the receive then fails with
-/// [`CoreError::Stalled`]. However the wait ends, a flagged episode
-/// lowers the gauge on the way out — bytes arriving, the traversal
-/// timeout, or the abort all conclude it.
+/// semantics match a plain `receive_timeout` call. The watchdog check
+/// itself is [`SessionWatch::check_stall`], shared with the multiplexed
+/// host; however the wait ends, [`SessionWatch::wait_ended`] closes a
+/// flagged stall episode.
 fn receive_watched(
     conn: &mut dyn Connection,
     timeout: Duration,
@@ -189,42 +169,29 @@ fn receive_watched(
     watch: Option<&SessionWatch>,
     core: &mut SessionCore,
 ) -> Result<Vec<u8>> {
-    let watchdog = watch.and_then(|w| w.ops.watchdog);
-    if stop.is_none() && watchdog.is_none() {
+    let stall_after = watch.and_then(SessionWatch::stall_after);
+    if stop.is_none() && stall_after.is_none() {
         return Ok(conn.receive_timeout(timeout)?);
     }
     let start = Instant::now();
     let deadline = start + timeout;
     let result = loop {
-        if let Some(stop) = stop {
-            if stop.load(Ordering::SeqCst) {
-                break Err(CoreError::HostStopped);
-            }
+        if stop.is_some_and(|stop| stop.load(Ordering::SeqCst)) {
+            break Err(CoreError::HostStopped);
         }
         let now = Instant::now();
-        if let (Some(w), Some(wd)) = (watch, watchdog) {
-            let waited = now.saturating_duration_since(start);
-            if waited >= wd.stall_after && !core.stall_flagged() {
-                let waited_ms = waited.as_millis() as u64;
-                if core.note_stalled(waited_ms) {
-                    w.ops.directory.mark_stalled(w.id);
-                    w.ops.stall_raised();
-                }
-                if wd.policy == StallPolicy::Abort {
-                    break Err(CoreError::Stalled {
-                        state: core.current_state().to_owned(),
-                        waited_ms,
-                    });
-                }
+        if let Some(w) = watch {
+            if let Err(err) = w.check_stall(core, now.saturating_duration_since(start)) {
+                break Err(err);
             }
         }
         if now >= deadline {
             break Err(CoreError::Net(starlink_net::NetError::Timeout));
         }
         let mut slice = STOP_POLL.min(deadline - now);
-        if let Some(wd) = watchdog {
+        if let Some(after) = stall_after {
             // Wake in time to flag the stall, not a full poll slice late.
-            let stall_at = start + wd.stall_after;
+            let stall_at = start + after;
             if stall_at > now {
                 slice = slice.min(stall_at - now);
             }
@@ -236,9 +203,7 @@ fn receive_watched(
         }
     };
     if let Some(w) = watch {
-        if core.stall_flagged() {
-            w.ops.stall_lowered();
-        }
+        w.wait_ended(core);
     }
     result
 }

@@ -68,9 +68,9 @@ pub use session_core::{
 // out of `MediatorHost::trace_buffer` / `flight_recorder` after
 // `Mediator::enable_tracing`).
 pub use starlink_telemetry::{
-    noop_sink, FanoutSink, FlightRecorder, HealthCheck, HealthReport, HealthStatus,
-    HealthThresholds, MessageCapture, NoopSink, PairHealth, Recorder, SessionTrace, SessionTraceId,
-    SessionTracer, Snapshot, TelemetrySink, TraceBuffer, TraceEvent, TraceRecord, TraceRecordKind,
+    noop_sink, FanoutSink, FlightRecorder, HealthCheck, HealthStatus, HealthThresholds,
+    MessageCapture, NoopSink, PairHealth, Recorder, SessionTrace, SessionTraceId, SessionTracer,
+    Snapshot, TelemetrySink, TraceBuffer, TraceEvent, TraceRecord, TraceRecordKind,
     WindowAggregator, WindowConfig, WindowCounts,
 };
 

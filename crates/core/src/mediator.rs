@@ -16,10 +16,10 @@
 //!   connection readiness plus a bounded worker pool stepping session
 //!   cores, so many idle clients cost no threads.
 
-use crate::driver::{self, ConnectionState, SessionWatch};
+use crate::driver::{self, ConnectionState};
 use crate::engine::ColorRuntime;
 use crate::error::CoreError;
-use crate::ops::{OpsConfig, OpsRuntime, SessionEntry, StallPolicy};
+use crate::ops::{OpsConfig, OpsRuntime, SessionWatch};
 use crate::session_core::{
     ColorConfig, SessionCore, SessionEvent, SessionIo, SessionOutcome, SessionPersist, SessionSpec,
 };
@@ -30,7 +30,7 @@ use starlink_net::channel::{self, Receiver, Sender};
 use starlink_net::{Connection, Endpoint, NetError, NetworkEngine};
 use starlink_telemetry::{
     chrome_events, evaluate_pair, render_chrome_json, FanoutSink, FlightRecorder, HealthInputs,
-    HealthReport, Recorder, SessionTracer, Snapshot, TelemetrySink, TraceBuffer, TraceEvent,
+    PairHealth, Recorder, SessionTracer, Snapshot, TelemetrySink, TraceBuffer, TraceEvent,
     WindowAggregator, WindowCounts,
 };
 use std::collections::HashMap;
@@ -45,10 +45,10 @@ const IDLE_POLL: Duration = Duration::from_millis(1);
 /// How long the accept loop backs off after a transient accept error.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
-/// How long the diagnostics endpoint waits for an optional selector
-/// frame before answering with the default selector (back-compat with
-/// clients that connect and only read, as `starlink stats` always has).
-const REQUEST_WAIT: Duration = Duration::from_millis(200);
+/// How long the diagnostics endpoint waits for a client's selector frame
+/// before answering with an `error:` frame. The endpoint serves one
+/// client at a time, so a silent client holds it at most this long.
+const SELECTOR_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// A deployable mediator: merged automaton + per-color runtimes.
 pub struct Mediator {
@@ -133,7 +133,7 @@ impl Mediator {
     /// policy and health thresholds for the host to pick up at
     /// deployment. Returns the window; after deployment the host serves
     /// its rates, the stall watchdog, the live session directory and the
-    /// [`HealthReport`] through [`MediatorHost::expose_diagnostics`].
+    /// health gauges through [`MediatorHost::expose_diagnostics`].
     /// Idempotent — calling twice returns the already-installed window
     /// (the first config wins).
     pub fn enable_ops(&mut self, config: OpsConfig) -> Arc<WindowAggregator> {
@@ -144,13 +144,7 @@ impl Mediator {
             self.spec.automaton.name(),
             config.window,
         ));
-        let existing = self.telemetry();
-        let mut sinks: Vec<Arc<dyn TelemetrySink>> = Vec::with_capacity(2);
-        if existing.enabled() {
-            sinks.push(existing);
-        }
-        sinks.push(window.clone() as Arc<dyn TelemetrySink>);
-        self.set_telemetry(Arc::new(FanoutSink::new(sinks)));
+        self.add_sinks(vec![window.clone()]);
         self.ops = Some(config);
         self.window = Some(window.clone());
         window
@@ -170,14 +164,7 @@ impl Mediator {
         }
         let buffer = Arc::new(TraceBuffer::new());
         let flight = Arc::new(FlightRecorder::new());
-        let existing = self.telemetry();
-        let mut sinks: Vec<Arc<dyn TelemetrySink>> = Vec::with_capacity(3);
-        if existing.enabled() {
-            sinks.push(existing);
-        }
-        sinks.push(buffer.clone() as Arc<dyn TelemetrySink>);
-        sinks.push(flight.clone() as Arc<dyn TelemetrySink>);
-        self.set_telemetry(Arc::new(FanoutSink::new(sinks)));
+        self.add_sinks(vec![buffer.clone(), flight.clone()]);
         self.trace_buffer = Some(buffer.clone());
         self.flight = Some(flight.clone());
         (buffer, flight)
@@ -206,6 +193,24 @@ impl Mediator {
             templates: self.spec.templates.clone(),
             telemetry: sink,
         });
+    }
+
+    /// Installs `added` next to the current sink, which is kept only when
+    /// enabled; a [`FanoutSink`] joins them when more than one remains.
+    /// Returns the installed sink.
+    fn add_sinks(&mut self, added: Vec<Arc<dyn TelemetrySink>>) -> Arc<dyn TelemetrySink> {
+        let existing = self.telemetry();
+        let mut sinks = Vec::with_capacity(added.len() + 1);
+        if existing.enabled() {
+            sinks.push(existing);
+        }
+        sinks.extend(added);
+        let sink: Arc<dyn TelemetrySink> = match sinks.len() {
+            1 => sinks.remove(0),
+            _ => Arc::new(FanoutSink::new(sinks)),
+        };
+        self.set_telemetry(sink.clone());
+        sink
     }
 
     /// Builder-style [`Mediator::set_telemetry`].
@@ -248,16 +253,10 @@ impl Mediator {
 pub struct MediatorHost {
     endpoint: Endpoint,
     stop: Arc<AtomicBool>,
-    /// The sink sessions report into. Deployment guarantees it
-    /// aggregates (a [`Recorder`] is installed when the injected sink
-    /// does not snapshot), so [`MediatorHost::telemetry_snapshot`] and
-    /// [`MediatorHost::completed_sessions`] always have data.
-    telemetry: Arc<dyn TelemetrySink>,
     /// Present when [`Mediator::enable_tracing`] ran before deployment.
-    trace_buffer: Option<Arc<TraceBuffer>>,
     flight: Option<Arc<FlightRecorder>>,
-    /// Everything the diagnostics endpoint needs, cloneable into its
-    /// serving thread.
+    /// Everything the diagnostics endpoint needs (including the host's
+    /// sink), cloneable into its serving thread.
     diag: DiagState,
     threads: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -270,14 +269,7 @@ fn install_recorder(mediator: &mut Mediator) -> Arc<dyn TelemetrySink> {
     if existing.snapshot().is_some() {
         return existing;
     }
-    let recorder: Arc<dyn TelemetrySink> = Arc::new(Recorder::new());
-    let sink: Arc<dyn TelemetrySink> = if existing.enabled() {
-        Arc::new(FanoutSink::new(vec![existing, recorder]))
-    } else {
-        recorder
-    };
-    mediator.set_telemetry(sink.clone());
-    sink
+    mediator.add_sinks(vec![Arc::new(Recorder::new())])
 }
 
 /// Builds the deployment's operations runtime from the mediator's
@@ -301,11 +293,29 @@ fn build_ops(mediator: &Mediator, telemetry: &Arc<dyn TelemetrySink>) -> Option<
     )))
 }
 
+/// Accept-time bookkeeping both host shapes share: mints the session's
+/// tracer here, so the accept event lands in the session's own trace,
+/// records `SessionAccepted`, and registers the session in the directory
+/// when ops are enabled.
+fn admit(
+    sink: &dyn TelemetrySink,
+    ops: Option<&Arc<OpsRuntime>>,
+) -> (Option<SessionTracer>, Option<SessionWatch>) {
+    let tracer = SessionTracer::for_sink(sink);
+    match &tracer {
+        Some(t) => t.record(sink, &TraceEvent::SessionAccepted),
+        None => sink.record(&TraceEvent::SessionAccepted),
+    }
+    (tracer, ops.map(OpsRuntime::watch_new_session))
+}
+
 /// The diagnostics endpoint's view of a deployed host: enough shared
 /// state to answer every selector without touching the host itself (the
 /// serving thread outlives borrows of [`MediatorHost`]).
 #[derive(Clone)]
 struct DiagState {
+    /// The sink the host's sessions report into; deployment guarantees
+    /// it aggregates (see [`install_recorder`]).
     telemetry: Arc<dyn TelemetrySink>,
     trace_buffer: Option<Arc<TraceBuffer>>,
     /// The merged-automaton pair this host serves, labelling health and
@@ -320,30 +330,42 @@ struct DiagState {
 }
 
 impl DiagState {
+    /// Deployment set-up both host shapes share: guarantees an
+    /// aggregating sink and builds the operations runtime.
+    fn new(mediator: &mut Mediator, queue_capacity: usize) -> DiagState {
+        let telemetry = install_recorder(mediator);
+        let ops = build_ops(mediator, &telemetry);
+        DiagState {
+            telemetry,
+            trace_buffer: mediator.trace_buffer.clone(),
+            pair: mediator.spec.automaton.name().to_owned(),
+            queue_depth: Arc::new(AtomicUsize::new(0)),
+            queue_capacity,
+            ops,
+        }
+    }
+
     /// Lifecycle counts feeding the health model: the sliding window
     /// when ops are enabled, else lifetime counters recast as a window
     /// of unspecified length (`window_secs` 0 — absolute thresholds
     /// still grade, rate-denominated ones see totals).
-    fn window_counts(&self) -> WindowCounts {
+    fn window_counts(&self, lifetime: &Snapshot) -> WindowCounts {
         match &self.ops {
             Some(ops) => ops.window.counts(),
-            None => {
-                let snap = self.telemetry.snapshot().unwrap_or_default();
-                WindowCounts {
-                    window_secs: 0,
-                    started: snap.counter("starlink_sessions_started_total"),
-                    finished: snap.counter("starlink_sessions_finished_total"),
-                    failed: snap.counter("starlink_sessions_failed_total"),
-                    accepted: snap.counter("starlink_sessions_accepted_total"),
-                    accept_errors: snap.counter("starlink_accept_errors_total"),
-                    stalled: snap.counter("starlink_sessions_stalled_total"),
-                    failures_by_stage: Vec::new(),
-                }
-            }
+            None => WindowCounts {
+                window_secs: 0,
+                started: lifetime.counter("starlink_sessions_started_total"),
+                finished: lifetime.counter("starlink_sessions_finished_total"),
+                failed: lifetime.counter("starlink_sessions_failed_total"),
+                accepted: lifetime.counter("starlink_sessions_accepted_total"),
+                accept_errors: lifetime.counter("starlink_accept_errors_total"),
+                stalled: lifetime.counter("starlink_sessions_stalled_total"),
+                failures_by_stage: Vec::new(),
+            },
         }
     }
 
-    fn health_report(&self) -> HealthReport {
+    fn health(&self, lifetime: &Snapshot) -> PairHealth {
         let thresholds = self.ops.as_ref().map(|o| o.thresholds).unwrap_or_default();
         let stalled_now = self
             .ops
@@ -352,30 +374,30 @@ impl DiagState {
             .unwrap_or(0);
         let inputs = HealthInputs {
             pair: self.pair.clone(),
-            window: self.window_counts(),
+            window: self.window_counts(lifetime),
             queue_depth: self.queue_depth.load(Ordering::SeqCst) as u64,
             queue_capacity: self.queue_capacity as u64,
             stalled_now,
         };
-        HealthReport::single(evaluate_pair(&inputs, &thresholds))
+        evaluate_pair(&inputs, &thresholds)
     }
 
     /// The recorder's lifetime families plus windowed rates and health
     /// gauges — the `stats` selector's payload.
-    fn diagnostics_snapshot(&self) -> Snapshot {
+    fn snapshot(&self) -> Snapshot {
         let mut snap = self.telemetry.snapshot().unwrap_or_default();
+        let health = self.health(&snap);
         if let Some(ops) = &self.ops {
             snap.families.extend(ops.window.families());
         }
-        snap.families.extend(self.health_report().families());
+        snap.families.extend(health.families());
         snap
     }
 
     /// Answers one diagnostics request frame.
     fn respond(&self, selector: &str) -> Vec<u8> {
         match selector {
-            "" | "stats" => self.diagnostics_snapshot().render_text().into_bytes(),
-            "health" => self.health_report().render_text().into_bytes(),
+            "stats" => self.snapshot().render_text().into_bytes(),
             "sessions" => match &self.ops {
                 Some(ops) => ops.directory.render_text().into_bytes(),
                 None => {
@@ -393,29 +415,12 @@ impl DiagState {
                         .to_vec()
                 }
             },
+            "" => b"error: no diagnostics selector sent (expected stats, traces or sessions)\n"
+                .to_vec(),
             other => format!(
-                "error: unknown diagnostics selector `{other}` (expected stats, traces, health or sessions)\n"
+                "error: unknown diagnostics selector `{other}` (expected stats, traces or sessions)\n"
             )
             .into_bytes(),
-        }
-    }
-}
-
-/// Waits briefly for the optional one-line request frame; clients that
-/// connect and only read (the pre-diagnostics `starlink stats`/`trace`
-/// protocol) get the endpoint's default selector.
-fn read_selector(conn: &mut dyn Connection, default_selector: &str) -> String {
-    let deadline = Instant::now() + REQUEST_WAIT;
-    loop {
-        match conn.try_receive() {
-            Ok(Some(bytes)) => return String::from_utf8_lossy(&bytes).trim().to_owned(),
-            Ok(None) => {
-                if Instant::now() >= deadline {
-                    return default_selector.to_owned();
-                }
-                std::thread::sleep(IDLE_POLL);
-            }
-            Err(_) => return default_selector.to_owned(),
         }
     }
 }
@@ -434,19 +439,15 @@ impl MediatorHost {
     pub fn deploy(mut mediator: Mediator, listen: &Endpoint) -> Result<MediatorHost> {
         let listener = mediator.net.listen(listen)?;
         let endpoint = listener.local_endpoint();
-        let telemetry = install_recorder(&mut mediator);
-        let trace_buffer = mediator.trace_buffer.clone();
+        let diag = DiagState::new(&mut mediator, 0);
         let flight = mediator.flight.clone();
-        let ops = build_ops(&mediator, &telemetry);
-        let pair = mediator.spec.automaton.name().to_owned();
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = stop.clone();
-        let accept_ops = ops.clone();
+        let accept_ops = diag.ops.clone();
         let mediator = Arc::new(mediator);
         let accept_thread = std::thread::spawn(move || {
             let sink = mediator.spec.telemetry.clone();
             let mut session_threads: Vec<JoinHandle<()>> = Vec::new();
-            let mut next_session_id: u64 = 0;
             while !accept_stop.load(Ordering::SeqCst) {
                 let mut conn = match listener.try_accept() {
                     Ok(Some(c)) => c,
@@ -463,27 +464,7 @@ impl MediatorHost {
                         continue;
                     }
                 };
-                // The session trace id is minted here, at accept time, so
-                // the accept event itself lands in the session's trace.
-                let tracer = SessionTracer::for_sink(sink.as_ref());
-                match &tracer {
-                    Some(t) => t.record(sink.as_ref(), &TraceEvent::SessionAccepted),
-                    None => sink.record(&TraceEvent::SessionAccepted),
-                }
-                let watch = accept_ops.as_ref().map(|ops| {
-                    next_session_id += 1;
-                    ops.directory.upsert(SessionEntry {
-                        id: next_session_id,
-                        state: "accepted".to_owned(),
-                        awaiting: None,
-                        since: Instant::now(),
-                        stalled: false,
-                    });
-                    SessionWatch {
-                        ops: ops.clone(),
-                        id: next_session_id,
-                    }
-                });
+                let (tracer, watch) = admit(sink.as_ref(), accept_ops.as_ref());
                 let mediator = mediator.clone();
                 let stop = accept_stop.clone();
                 session_threads.push(std::thread::spawn(move || {
@@ -511,28 +492,15 @@ impl MediatorHost {
                             Err(_) => break,
                         }
                     }
-                    if let Some(w) = &watch {
-                        w.ops.directory.remove(w.id);
-                    }
                 }));
             }
             for t in session_threads {
                 let _ = t.join();
             }
         });
-        let diag = DiagState {
-            telemetry: telemetry.clone(),
-            trace_buffer: trace_buffer.clone(),
-            pair,
-            queue_depth: Arc::new(AtomicUsize::new(0)),
-            queue_capacity: 0,
-            ops,
-        };
         Ok(MediatorHost {
             endpoint,
             stop,
-            telemetry,
-            trace_buffer,
             flight,
             diag,
             threads: Mutex::new(vec![accept_thread]),
@@ -559,21 +527,18 @@ impl MediatorHost {
     ) -> Result<MediatorHost> {
         let listener = mediator.net.listen(listen)?;
         let endpoint = listener.local_endpoint();
-        let telemetry = install_recorder(&mut mediator);
-        let trace_buffer = mediator.trace_buffer.clone();
-        let flight = mediator.flight.clone();
-        let ops = build_ops(&mediator, &telemetry);
-        let pair = mediator.spec.automaton.name().to_owned();
-        let stop = Arc::new(AtomicBool::new(false));
         let max_workers = max_workers.max(1);
         // Bounded: when every worker is busy and the buffer is full, the
         // coordinator's send blocks until a slot frees up.
         let queue_capacity = max_workers * 2;
+        let diag = DiagState::new(&mut mediator, queue_capacity);
+        let flight = mediator.flight.clone();
+        let stop = Arc::new(AtomicBool::new(false));
         let (jobs_tx, jobs_rx) = channel::bounded::<Job>(queue_capacity);
         let (done_tx, done_rx) = channel::unbounded::<MuxSession>();
         // Jobs handed to the pool and not yet handed back; shared so the
         // coordinator and workers keep the queue-depth gauge honest.
-        let queue_depth = Arc::new(AtomicUsize::new(0));
+        let queue_depth = diag.queue_depth.clone();
         let mediator = Arc::new(mediator);
         let mut threads = Vec::with_capacity(max_workers + 1);
         for _ in 0..max_workers {
@@ -582,41 +547,28 @@ impl MediatorHost {
             let mediator = mediator.clone();
             let stop = stop.clone();
             let queue_depth = queue_depth.clone();
-            let ops = ops.clone();
             threads.push(std::thread::spawn(move || {
-                worker_loop(&jobs_rx, &done_tx, &mediator, &stop, &queue_depth, &ops);
+                worker_loop(&jobs_rx, &done_tx, &mediator, &stop, &queue_depth);
             }));
         }
         drop(jobs_rx);
         drop(done_tx);
         let coord_stop = stop.clone();
-        let coord_mediator = mediator;
-        let coord_queue_depth = queue_depth.clone();
-        let coord_ops = ops.clone();
+        let coord_ops = diag.ops.clone();
         threads.push(std::thread::spawn(move || {
             coordinator_loop(
                 listener.as_ref(),
                 &jobs_tx,
                 &done_rx,
-                &coord_mediator,
+                &mediator,
                 &coord_stop,
-                &coord_queue_depth,
-                &coord_ops,
+                &queue_depth,
+                coord_ops.as_ref(),
             );
         }));
-        let diag = DiagState {
-            telemetry: telemetry.clone(),
-            trace_buffer: trace_buffer.clone(),
-            pair,
-            queue_depth,
-            queue_capacity,
-            ops,
-        };
         Ok(MediatorHost {
             endpoint,
             stop,
-            telemetry,
-            trace_buffer,
             flight,
             diag,
             threads: Mutex::new(threads),
@@ -628,31 +580,16 @@ impl MediatorHost {
         &self.endpoint
     }
 
-    /// Number of completed sessions (traversals) so far.
-    ///
-    /// Thin shim over the telemetry counter
-    /// `starlink_sessions_finished_total`: the session core emits
-    /// `SessionFinished` *before* the final reply reaches the wire, so —
-    /// as before the counter moved into telemetry — a client that has
-    /// observed its session complete can rely on this count already
-    /// agreeing (see `docs/engine.md`).
-    pub fn completed_sessions(&self) -> usize {
-        self.telemetry
-            .snapshot()
-            .map(|s| s.counter("starlink_sessions_finished_total") as usize)
-            .unwrap_or(0)
-    }
-
     /// The sink this host's sessions report into (always able to
     /// snapshot; see [`MediatorHost::telemetry_snapshot`]).
     pub fn telemetry(&self) -> Arc<dyn TelemetrySink> {
-        self.telemetry.clone()
+        self.diag.telemetry.clone()
     }
 
     /// Span trees of the last N completed sessions, when
     /// [`Mediator::enable_tracing`] ran before deployment.
     pub fn trace_buffer(&self) -> Option<Arc<TraceBuffer>> {
-        self.trace_buffer.clone()
+        self.diag.trace_buffer.clone()
     }
 
     /// Per-session message captures (pre-/post-γ), when
@@ -661,99 +598,44 @@ impl MediatorHost {
         self.flight.clone()
     }
 
-    /// A point-in-time aggregate of everything the host's sessions have
-    /// reported: session lifecycle counts, transition and γ-translation
-    /// rates, parse/compose latency histograms, wire volume, pool reuse,
-    /// and host-level accept/queue gauges. Render with
+    /// A point-in-time aggregate of everything the host reports: session
+    /// lifecycle counts (`starlink_sessions_finished_total` counts
+    /// completed traversals), transition and γ-translation rates,
+    /// parse/compose latency histograms, wire volume, pool reuse,
+    /// host-level accept/queue gauges, the operations plane's windowed
+    /// rates (when ops are enabled) and the health gauges. This is what
+    /// the `stats` diagnostics selector serves; render with
     /// [`Snapshot::render_text`] for the Prometheus-style exposition the
-    /// `starlink stats` CLI command consumes.
+    /// `starlink stats` and `starlink health` commands consume.
     pub fn telemetry_snapshot(&self) -> Snapshot {
-        self.telemetry.snapshot().unwrap_or_default()
+        self.diag.snapshot()
     }
 
-    /// The host's health report: the sliding window's failure and
-    /// accept-error rates, queue saturation and the stall watchdog's
-    /// live count graded against the configured [`crate::OpsConfig`]
-    /// thresholds (defaults when ops were not enabled), rolled up per
-    /// merged-automaton pair. Also served by the `health` diagnostics
-    /// selector and consumed by `starlink health`.
-    pub fn health_report(&self) -> HealthReport {
-        self.diag.health_report()
+    /// The host's health: the sliding window's failure and accept-error
+    /// rates, queue saturation and the stall watchdog's live count
+    /// graded against the configured [`crate::OpsConfig`] thresholds
+    /// (defaults when ops were not enabled). The same verdict is
+    /// exported as the `starlink_health_*` gauges of
+    /// [`MediatorHost::telemetry_snapshot`].
+    pub fn health_report(&self) -> PairHealth {
+        self.diag
+            .health(&self.diag.telemetry.snapshot().unwrap_or_default())
     }
 
-    /// [`MediatorHost::telemetry_snapshot`] plus the operations plane's
-    /// families: windowed rates (when ops are enabled) and health-status
-    /// gauges. This is what the `stats` diagnostics selector serves.
-    pub fn diagnostics_snapshot(&self) -> Snapshot {
-        self.diag.diagnostics_snapshot()
-    }
-
-    /// Serves the unified diagnostics endpoint at `listen`: every
-    /// accepted connection may send one request frame naming a selector
-    /// — `stats` (diagnostics snapshot text), `traces` (Chrome
-    /// `trace_event` JSON), `health` (the rendered [`HealthReport`]) or
-    /// `sessions` (the live session directory) — and receives one reply
-    /// frame. Clients that send nothing get `stats` after a short grace
-    /// period, so the endpoint is a drop-in replacement for
-    /// [`MediatorHost::expose_stats`]. Returns the bound endpoint; the
-    /// serving thread is joined at [`MediatorHost::shutdown`].
+    /// Serves the diagnostics endpoint at `listen`. Every accepted
+    /// connection must send one request frame naming a selector —
+    /// `stats` ([`MediatorHost::telemetry_snapshot`] as exposition
+    /// text), `traces` (Chrome `trace_event` JSON, when tracing is
+    /// enabled) or `sessions` (the live session directory, when ops are
+    /// enabled) — and receives one reply frame. A missing, empty or
+    /// unknown selector, or one whose surface is not enabled, gets an
+    /// `error: …` frame. Returns the bound endpoint; the serving thread
+    /// is joined at [`MediatorHost::shutdown`].
     ///
     /// # Errors
     ///
     /// Bind failures.
     pub fn expose_diagnostics(&self, net: &NetworkEngine, listen: &Endpoint) -> Result<Endpoint> {
-        self.serve_one_shot(net, listen, "stats")
-    }
-
-    /// Serves [`MediatorHost::diagnostics_snapshot`] at `listen`: every
-    /// accepted connection receives one frame containing the rendered
-    /// text exposition and is then dropped. Poll with
-    /// `starlink stats <endpoint>`. A thin wrapper over the diagnostics
-    /// endpoint (defaulting to the `stats` selector), so the other
-    /// selectors work here too. Returns the bound endpoint; the serving
-    /// thread is joined at [`MediatorHost::shutdown`].
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    pub fn expose_stats(&self, net: &NetworkEngine, listen: &Endpoint) -> Result<Endpoint> {
-        self.serve_one_shot(net, listen, "stats")
-    }
-
-    /// Serves the trace buffer at `listen` in Chrome `trace_event` JSON:
-    /// every accepted connection receives one frame holding all
-    /// completed session traces (one track per session) and is then
-    /// dropped. Poll with `starlink trace <endpoint>` or load the saved
-    /// frame in `chrome://tracing` / Perfetto. A thin wrapper over the
-    /// diagnostics endpoint (defaulting to the `traces` selector).
-    /// Returns the bound endpoint; the serving thread is joined at
-    /// [`MediatorHost::shutdown`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Aborted`] when tracing was not enabled on the
-    /// mediator before deployment; bind failures.
-    pub fn expose_traces(&self, net: &NetworkEngine, listen: &Endpoint) -> Result<Endpoint> {
-        if self.trace_buffer.is_none() {
-            return Err(CoreError::Aborted {
-                reason: "tracing not enabled: call Mediator::enable_tracing before deploying"
-                    .to_owned(),
-            });
-        }
-        self.serve_one_shot(net, listen, "traces")
-    }
-
-    /// The one-shot request/reply accept loop every exposure endpoint
-    /// shares: accept, wait briefly for an optional selector frame
-    /// (defaulting when none arrives), answer with one frame, drop the
-    /// connection. Polls so shutdown takes effect promptly and tolerates
-    /// transient accept errors.
-    fn serve_one_shot(
-        &self,
-        net: &NetworkEngine,
-        listen: &Endpoint,
-        default_selector: &'static str,
-    ) -> Result<Endpoint> {
         let listener = net.listen(listen)?;
         let endpoint = listener.local_endpoint();
         let stop = self.stop.clone();
@@ -762,9 +644,11 @@ impl MediatorHost {
             while !stop.load(Ordering::SeqCst) {
                 match listener.try_accept() {
                     Ok(Some(mut conn)) => {
-                        let selector = read_selector(conn.as_mut(), default_selector);
-                        let reply = diag.respond(&selector);
-                        let _ = conn.send(&reply);
+                        let selector = conn
+                            .receive_timeout(SELECTOR_TIMEOUT)
+                            .map(|frame| String::from_utf8_lossy(&frame).trim().to_owned())
+                            .unwrap_or_default();
+                        let _ = conn.send(&diag.respond(&selector));
                     }
                     Ok(None) => std::thread::sleep(IDLE_POLL),
                     Err(NetError::Closed) => break,
@@ -789,11 +673,12 @@ impl MediatorHost {
     /// event instead of propagating out of shutdown.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        let telemetry = &self.diag.telemetry;
         let handles: Vec<JoinHandle<()>> = {
             let mut guard = match self.threads.lock() {
                 Ok(guard) => guard,
                 Err(poisoned) => {
-                    self.telemetry.record(&TraceEvent::WorkerPanic);
+                    telemetry.record(&TraceEvent::WorkerPanic);
                     poisoned.into_inner()
                 }
             };
@@ -801,7 +686,7 @@ impl MediatorHost {
         };
         for h in handles {
             if h.join().is_err() {
-                self.telemetry.record(&TraceEvent::WorkerPanic);
+                telemetry.record(&TraceEvent::WorkerPanic);
             }
         }
     }
@@ -826,9 +711,9 @@ struct MuxSession {
     /// When the current receive wait began (the stall watchdog measures
     /// from here; unlike `deadline` it is not pushed out by config).
     awaiting_since: Instant,
-    /// Stable directory id (accept order), distinct from the coordinator's
-    /// per-park keys.
-    ops_id: u64,
+    /// The session's operations-plane watch (directory entry and stall
+    /// watchdog); dropping the session drops its directory entry.
+    watch: Option<SessionWatch>,
 }
 
 /// A unit of work for the pool: step this session with this event
@@ -844,7 +729,6 @@ fn worker_loop(
     mediator: &Arc<Mediator>,
     stop: &AtomicBool,
     queue_depth: &AtomicUsize,
-    ops: &Option<Arc<OpsRuntime>>,
 ) {
     while let Ok(job) = jobs.recv() {
         let Job { mut session, event } = job;
@@ -859,9 +743,6 @@ fn worker_loop(
             Ok(()) => true,
             Err(err) => {
                 session.core.record_failure(&err);
-                if let Some(ops) = ops {
-                    ops.directory.remove(session.ops_id);
-                }
                 false
             }
         };
@@ -939,13 +820,12 @@ fn pump(
 enum Ready {
     /// Connection closed or failed: drop the session.
     Drop,
-    /// The stall watchdog's abort policy fired after waiting this long.
-    Abort(u64),
+    /// The stall watchdog's abort policy fired: fail the session.
+    Abort(CoreError),
     /// Input (or a timeout tick) is ready: hand to the pool.
     Step(SessionEvent),
 }
 
-#[allow(clippy::too_many_arguments)]
 fn coordinator_loop(
     listener: &dyn starlink_net::Listener,
     jobs: &Sender<Job>,
@@ -953,12 +833,11 @@ fn coordinator_loop(
     mediator: &Arc<Mediator>,
     stop: &AtomicBool,
     queue_depth: &AtomicUsize,
-    ops: &Option<Arc<OpsRuntime>>,
+    ops: Option<&Arc<OpsRuntime>>,
 ) {
     let sink = mediator.spec.telemetry.clone();
     let mut parked: HashMap<u64, MuxSession> = HashMap::new();
     let mut next_id: u64 = 0;
-    let mut next_ops_id: u64 = 0;
     let mut last_active = usize::MAX;
     // Submitting a job before `jobs.send` keeps the gauge an upper bound
     // even while the send blocks on a full channel.
@@ -972,14 +851,8 @@ fn coordinator_loop(
         // 1. Workers hand back sessions parked on a receive.
         while let Ok(session) = done.try_recv() {
             next_id += 1;
-            if let Some(ops) = ops {
-                ops.directory.upsert(SessionEntry {
-                    id: session.ops_id,
-                    state: session.core.current_state().to_owned(),
-                    awaiting: session.awaiting,
-                    since: Instant::now(),
-                    stalled: false,
-                });
+            if let Some(w) = &session.watch {
+                w.awaiting(session.core.current_state(), session.awaiting);
             }
             parked.insert(next_id, session);
             progressed = true;
@@ -987,26 +860,10 @@ fn coordinator_loop(
         // 2. New client connections start fresh sessions.
         match listener.try_accept() {
             Ok(Some(client)) => {
-                // Minting the tracer here attributes the accept event to
-                // the session's own trace (as in the threaded host).
-                let tracer = SessionTracer::for_sink(sink.as_ref());
-                match &tracer {
-                    Some(t) => t.record(sink.as_ref(), &TraceEvent::SessionAccepted),
-                    None => sink.record(&TraceEvent::SessionAccepted),
-                }
+                let (tracer, watch) = admit(sink.as_ref(), ops);
                 let mut persist = SessionPersist::new();
                 persist.tracer = tracer;
                 if let Ok(core) = SessionCore::new(mediator.spec.clone(), persist) {
-                    next_ops_id += 1;
-                    if let Some(ops) = ops {
-                        ops.directory.upsert(SessionEntry {
-                            id: next_ops_id,
-                            state: core.current_state().to_owned(),
-                            awaiting: None,
-                            since: Instant::now(),
-                            stalled: false,
-                        });
-                    }
                     let session = MuxSession {
                         core,
                         client,
@@ -1014,7 +871,7 @@ fn coordinator_loop(
                         awaiting: None,
                         deadline: Instant::now() + mediator.timeout,
                         awaiting_since: Instant::now(),
-                        ops_id: next_ops_id,
+                        watch,
                     };
                     if !submit(session, None) {
                         return;
@@ -1032,7 +889,6 @@ fn coordinator_loop(
         // 3. Poll parked sessions for readiness (or timeout), running
         //    the stall watchdog over sessions still waiting.
         let now = Instant::now();
-        let watchdog = ops.as_ref().and_then(|o| o.watchdog);
         let mut ready: Vec<(u64, Ready)> = Vec::new();
         for (&id, session) in parked.iter_mut() {
             let Some(color) = session.awaiting else {
@@ -1053,18 +909,11 @@ fn coordinator_loop(
                     ready.push((id, Ready::Step(SessionEvent::WireReceived { color, bytes })));
                 }
                 Ok(None) => {
-                    if let (Some(ops), Some(wd)) = (ops, watchdog) {
+                    if let Some(w) = &session.watch {
                         let waited = now.saturating_duration_since(session.awaiting_since);
-                        if waited >= wd.stall_after && !session.core.stall_flagged() {
-                            let waited_ms = waited.as_millis() as u64;
-                            if session.core.note_stalled(waited_ms) {
-                                ops.directory.mark_stalled(session.ops_id);
-                                ops.stall_raised();
-                            }
-                            if wd.policy == StallPolicy::Abort {
-                                ready.push((id, Ready::Abort(waited_ms)));
-                                continue;
-                            }
+                        if let Err(err) = w.check_stall(&mut session.core, waited) {
+                            ready.push((id, Ready::Abort(err)));
+                            continue;
                         }
                     }
                     if now >= session.deadline {
@@ -1078,37 +927,18 @@ fn coordinator_loop(
         for (id, action) in ready {
             let mut session = parked.remove(&id).expect("session is parked");
             progressed = true;
-            // However the session leaves the parked set, a flagged stall
-            // episode is over: bytes arrived, the traversal timed out,
-            // the connection died, or the abort below reclaims the slot.
-            if session.core.stall_flagged() {
-                if let Some(ops) = ops {
-                    ops.stall_lowered();
-                }
+            if let Some(w) = &session.watch {
+                w.wait_ended(&session.core);
             }
             match action {
-                Ready::Drop => {
-                    // Connection closed or failed: the session is dropped
-                    // here, so close its trace instead of leaking an
-                    // open-ended span tree.
-                    if let Some(ops) = ops {
-                        ops.directory.remove(session.ops_id);
-                    }
-                    session.core.abandon();
-                }
-                Ready::Abort(waited_ms) => {
-                    // Stall abort: count the failure under stage
-                    // "stalled", close the root span, and drop the
-                    // session so its connections and pool slot free up.
-                    if let Some(ops) = ops {
-                        ops.directory.remove(session.ops_id);
-                    }
-                    let err = CoreError::Stalled {
-                        state: session.core.current_state().to_owned(),
-                        waited_ms,
-                    };
-                    session.core.record_failure(&err);
-                }
+                // Connection closed or failed: the session is dropped
+                // here, so close its trace instead of leaking an
+                // open-ended span tree.
+                Ready::Drop => session.core.abandon(),
+                // Stall abort: count the failure under stage "stalled",
+                // close the root span, and drop the session so its
+                // connections and pool slot free up.
+                Ready::Abort(err) => session.core.record_failure(&err),
                 Ready::Step(event) => {
                     session.awaiting = None;
                     if !submit(session, Some(event)) {

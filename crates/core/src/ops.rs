@@ -2,7 +2,7 @@
 //!
 //! The telemetry crate owns the *mechanisms* — sliding windows
 //! ([`starlink_telemetry::WindowAggregator`]), the health model
-//! ([`starlink_telemetry::HealthReport`]) — while this module owns the
+//! ([`starlink_telemetry::PairHealth`]) — while this module owns the
 //! *policy* a deployment opts into: how long an awaiting session may sit
 //! silent before the watchdog flags it ([`WatchdogConfig`]), whether a
 //! flagged session is merely observed or aborted so its worker slot is
@@ -14,11 +14,14 @@
 //! never calls it pays nothing (the engine's no-op-sink gate stays one
 //! branch per instrumentation site).
 
+use crate::error::CoreError;
+use crate::session_core::SessionCore;
+use crate::Result;
 use starlink_telemetry::{
     HealthThresholds, TelemetrySink, TraceEvent, WindowAggregator, WindowConfig,
 };
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -110,6 +113,7 @@ pub(crate) struct OpsRuntime {
     pub directory: SessionDirectory,
     pub sink: Arc<dyn TelemetrySink>,
     stalled_now: AtomicUsize,
+    next_id: AtomicU64,
 }
 
 impl OpsRuntime {
@@ -126,6 +130,24 @@ impl OpsRuntime {
             directory: SessionDirectory::new(),
             sink,
             stalled_now: AtomicUsize::new(0),
+            next_id: AtomicU64::new(0),
+        }
+    }
+
+    /// Registers a freshly accepted session in the directory under the
+    /// next id (accept order) and returns its watch.
+    pub(crate) fn watch_new_session(self: &Arc<Self>) -> SessionWatch {
+        let id = self.next_id.fetch_add(1, Ordering::SeqCst) + 1;
+        self.directory.upsert(SessionEntry {
+            id,
+            state: "accepted".to_owned(),
+            awaiting: None,
+            since: Instant::now(),
+            stalled: false,
+        });
+        SessionWatch {
+            ops: self.clone(),
+            id,
         }
     }
 
@@ -150,6 +172,77 @@ impl OpsRuntime {
             .fetch_sub(1, Ordering::SeqCst)
             .saturating_sub(1);
         self.sink.record(&TraceEvent::StalledSessions { count });
+    }
+}
+
+/// One session's view of the operations plane: the host's shared
+/// runtime plus the session's directory id. Both host shapes hold one
+/// per session when ops are enabled (`None` otherwise, so a plain host
+/// pays one `Option` check per receive). Dropping it removes the
+/// session from the directory, however the session ended.
+pub(crate) struct SessionWatch {
+    ops: Arc<OpsRuntime>,
+    id: u64,
+}
+
+impl SessionWatch {
+    /// Records that the session now waits at `state` for a receive on
+    /// `awaiting`; the stall clock of the directory entry restarts.
+    pub(crate) fn awaiting(&self, state: &str, awaiting: Option<u8>) {
+        self.ops.directory.upsert(SessionEntry {
+            id: self.id,
+            state: state.to_owned(),
+            awaiting,
+            since: Instant::now(),
+            stalled: false,
+        });
+    }
+
+    /// The stall deadline a waiting session is checked against, if a
+    /// watchdog is configured.
+    pub(crate) fn stall_after(&self) -> Option<Duration> {
+        self.ops.watchdog.map(|wd| wd.stall_after)
+    }
+
+    /// The stall watchdog, shared by both host shapes. Once a receive has
+    /// waited past the deadline the session is flagged, once per episode:
+    /// the core emits `SessionStalled`, the directory entry is marked,
+    /// and the stalled gauge rises. Under [`StallPolicy::Abort`] the wait
+    /// then fails with [`CoreError::Stalled`].
+    pub(crate) fn check_stall(&self, core: &mut SessionCore, waited: Duration) -> Result<()> {
+        let Some(wd) = self.ops.watchdog else {
+            return Ok(());
+        };
+        if waited < wd.stall_after || core.stall_flagged() {
+            return Ok(());
+        }
+        let waited_ms = waited.as_millis() as u64;
+        if core.note_stalled(waited_ms) {
+            self.ops.directory.mark_stalled(self.id);
+            self.ops.stall_raised();
+        }
+        if wd.policy == StallPolicy::Abort {
+            return Err(CoreError::Stalled {
+                state: core.current_state().to_owned(),
+                waited_ms,
+            });
+        }
+        Ok(())
+    }
+
+    /// Ends a wait: a flagged stall episode is over however the wait
+    /// ended (bytes arrived, the traversal timed out, the connection
+    /// died, or the watchdog aborted it), so the gauge comes back down.
+    pub(crate) fn wait_ended(&self, core: &SessionCore) {
+        if core.stall_flagged() {
+            self.ops.stall_lowered();
+        }
+    }
+}
+
+impl Drop for SessionWatch {
+    fn drop(&mut self) {
+        self.ops.directory.remove(self.id);
     }
 }
 
@@ -205,11 +298,6 @@ impl SessionDirectory {
     /// Removes a session (finished, failed, or aborted).
     pub fn remove(&self, id: u64) {
         self.lock().remove(&id);
-    }
-
-    /// Sessions currently flagged stalled.
-    pub fn stalled_count(&self) -> u64 {
-        self.lock().values().filter(|e| e.stalled).count() as u64
     }
 
     /// Live session count.
@@ -269,13 +357,20 @@ mod tests {
         dir.upsert(entry(1, false));
         dir.upsert(entry(2, false));
         assert_eq!(dir.len(), 2);
-        assert_eq!(dir.stalled_count(), 0);
         dir.mark_stalled(2);
         dir.mark_stalled(99); // unknown: no-op
-        assert_eq!(dir.stalled_count(), 1);
+        assert!(dir
+            .render_text()
+            .contains("session 2 state s2 awaiting 1 age "));
+        assert!(dir
+            .render_text()
+            .lines()
+            .nth(2)
+            .unwrap()
+            .ends_with(" stalled"));
         dir.remove(2);
         assert_eq!(dir.len(), 1);
-        assert_eq!(dir.stalled_count(), 0);
+        assert!(!dir.render_text().contains("stalled"));
     }
 
     #[test]

@@ -213,11 +213,13 @@ fn multiplexed_host_serves_64_concurrent_clients_on_8_workers() {
     for h in handles {
         h.join().unwrap();
     }
+    let completed = host
+        .telemetry_snapshot()
+        .counter("starlink_sessions_finished_total");
     assert!(
-        host.completed_sessions() >= 2 * CLIENTS,
-        "expected {} sessions, saw {}",
-        2 * CLIENTS,
-        host.completed_sessions()
+        completed >= 2 * CLIENTS as u64,
+        "expected {} sessions, saw {completed}",
+        2 * CLIENTS
     );
 }
 
@@ -276,8 +278,8 @@ fn telemetry_snapshot_aggregates_and_serves_over_the_wire() {
     let (net, mediator) = service_and_mediator("telemetry");
     let host =
         MediatorHost::deploy_multiplexed(mediator, &Endpoint::memory("tel-bridge"), 2).unwrap();
-    let stats_endpoint = host
-        .expose_stats(&net, &Endpoint::memory("tel-stats"))
+    let diag_endpoint = host
+        .expose_diagnostics(&net, &Endpoint::memory("tel-diag"))
         .unwrap();
 
     let mut client = giop_client(&net, host.endpoint());
@@ -289,10 +291,7 @@ fn telemetry_snapshot_aggregates_and_serves_over_the_wire() {
 
     let snap = host.telemetry_snapshot();
     assert!(snap.counter("starlink_sessions_started_total") >= 1);
-    assert_eq!(
-        snap.counter("starlink_sessions_finished_total") as usize,
-        host.completed_sessions()
-    );
+    assert!(snap.counter("starlink_sessions_finished_total") >= 1);
     assert!(snap.counter("starlink_sessions_accepted_total") >= 1);
     // The whole mediation is visible: client request in, service leg
     // out+in, client reply out — with a γ-translation in between.
@@ -301,9 +300,10 @@ fn telemetry_snapshot_aggregates_and_serves_over_the_wire() {
     assert!(snap.family("starlink_gamma_duration_ns").is_some());
     assert!(snap.counter("starlink_parse_bytes_total") > 0);
 
-    // The stats endpoint serves the same exposition, one frame per
+    // The `stats` selector serves the same exposition, one frame per
     // connection, parseable back into a snapshot.
-    let mut stats_conn = net.connect(&stats_endpoint).unwrap();
+    let mut stats_conn = net.connect(&diag_endpoint).unwrap();
+    stats_conn.send(b"stats").unwrap();
     let frame = stats_conn.receive().unwrap();
     let text = String::from_utf8(frame).unwrap();
     let parsed = starlink_core::Snapshot::parse_text(&text).unwrap();

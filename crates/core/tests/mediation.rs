@@ -203,7 +203,11 @@ fn add_client_reaches_plus_service_through_mediator() {
     // A second traversal on the same connection also works.
     let reply2 = client.call(&request).unwrap();
     assert_eq!(reply2.get("z").unwrap().to_text(), "42");
-    assert!(host.completed_sessions() >= 1);
+    assert!(
+        host.telemetry_snapshot()
+            .counter("starlink_sessions_finished_total")
+            >= 1
+    );
 }
 
 #[test]

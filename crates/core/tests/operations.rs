@@ -1,10 +1,10 @@
 //! Operations-plane behaviour: the stall watchdog (observe and abort
-//! policies, both host shapes), health reports degrading on stalls, and
-//! the unified diagnostics endpoint's request/reply selectors.
+//! policies, both host shapes), health degrading on stalls, and the
+//! diagnostics endpoint's request/reply selectors.
 
 use starlink_automata::merge::{template, MergeBuilder};
 use starlink_core::{
-    ActionRule, ColorRuntime, HealthReport, HealthStatus, Mediator, MediatorHost, OpsConfig,
+    ActionRule, ColorRuntime, HealthStatus, Mediator, MediatorHost, OpsConfig, PairHealth,
     ParamRule, ProtocolBinding, ReplyAction, RpcClient, RpcServer, ServiceHandler,
     ServiceInterface, Snapshot,
 };
@@ -207,8 +207,7 @@ fn wait_for<T>(what: &str, mut probe: impl FnMut() -> Option<T>) -> T {
     }
 }
 
-fn stalled_check(report: &HealthReport) -> Option<(HealthStatus, String)> {
-    let pair = report.pairs.first()?;
+fn stalled_check(pair: &PairHealth) -> Option<(HealthStatus, String)> {
     let check = pair.checks.iter().find(|c| c.name == "stalled-sessions")?;
     (check.status != HealthStatus::Healthy).then(|| (check.status, check.reason.clone()))
 }
@@ -232,10 +231,10 @@ fn multiplexed_watchdog_reports_silent_peer_and_degrades_health() {
         reason.contains("stalled"),
         "reason should mention the stall: {reason}"
     );
-    assert_eq!(host.health_report().overall, HealthStatus::Degraded);
+    assert_eq!(host.health_report().status, HealthStatus::Degraded);
 
     // The event surfaced as a counter, the live gauge, and the window.
-    let snap = host.diagnostics_snapshot();
+    let snap = host.telemetry_snapshot();
     assert!(snap.counter("starlink_sessions_stalled_total") >= 1);
     assert!(snap.value("starlink_sessions_stalled", &[]).unwrap_or(0) >= 1);
     assert!(
@@ -263,13 +262,13 @@ fn abort_policy_reclaims_the_slot_and_later_sessions_succeed() {
     // The watchdog aborts the hung session: it counts as a failure under
     // stage "stalled" and the stalled gauge returns to zero.
     wait_for("the stalled session to be aborted", || {
-        let snap = host.diagnostics_snapshot();
+        let snap = host.telemetry_snapshot();
         (snap.counter("starlink_sessions_failed_total") >= 1
             && snap.counter("starlink_sessions_stalled_total") >= 1
             && snap.value("starlink_sessions_stalled", &[]) == Some(0))
         .then_some(())
     });
-    let snap = host.diagnostics_snapshot();
+    let snap = host.telemetry_snapshot();
     assert!(
         snap.value(
             "starlink_window_session_failures",
@@ -297,7 +296,7 @@ fn threaded_host_watchdog_flags_silent_peer() {
     });
     assert_eq!(status, HealthStatus::Degraded);
     assert!(
-        host.diagnostics_snapshot()
+        host.telemetry_snapshot()
             .counter("starlink_sessions_stalled_total")
             >= 1
     );
@@ -332,9 +331,11 @@ fn diagnostics_endpoint_answers_every_selector() {
     );
     assert!(stats.family("starlink_health_status").is_some());
 
-    // health: parseable report, healthy after a clean workload.
-    let health = HealthReport::parse_text(&ask("health")).unwrap();
-    assert_eq!(health.overall, HealthStatus::Healthy);
+    // Health rides in the stats snapshot: healthy after a clean workload.
+    assert_eq!(
+        stats.value("starlink_health_status", &[("pair", "Add+Plus")]),
+        Some(HealthStatus::Healthy.gauge_value())
+    );
 
     // sessions: the live directory (no live sessions once calls drain,
     // but the framing is always present).
@@ -353,25 +354,29 @@ fn diagnostics_endpoint_answers_every_selector() {
     let err = ask("bogus");
     assert!(err.starts_with("error: unknown diagnostics selector"));
 
-    // Back-compat: a client that sends nothing gets stats.
-    let mut legacy = net.connect(&diag_ep).unwrap();
-    let frame = legacy.receive_timeout(Duration::from_secs(5)).unwrap();
-    let parsed = Snapshot::parse_text(&String::from_utf8(frame).unwrap()).unwrap();
-    assert!(parsed.counter("starlink_sessions_finished_total") >= 1);
+    // The selector is mandatory: an empty one gets an error frame, and
+    // so does a client that sends nothing.
+    let empty = ask("");
+    assert!(empty.starts_with("error: "), "unexpected frame: {empty}");
+    let mut silent = net.connect(&diag_ep).unwrap();
+    let frame = silent.receive_timeout(Duration::from_secs(5)).unwrap();
+    let frame = String::from_utf8(frame).unwrap();
+    assert!(frame.starts_with("error: "), "unexpected frame: {frame}");
 
     host.shutdown();
 }
 
 #[test]
-fn expose_stats_wrapper_still_serves_plain_readers() {
-    let (net, mediator) = service_and_mediator("stats-compat");
+fn stats_selector_without_ops_serves_health_but_no_windows() {
+    let (net, mediator) = service_and_mediator("stats-no-ops");
     let host =
-        MediatorHost::deploy_multiplexed(mediator, &Endpoint::memory("compat-bridge"), 2).unwrap();
-    let stats_ep = host
-        .expose_stats(&net, &Endpoint::memory("compat-stats"))
+        MediatorHost::deploy_multiplexed(mediator, &Endpoint::memory("no-ops-bridge"), 2).unwrap();
+    let diag_ep = host
+        .expose_diagnostics(&net, &Endpoint::memory("no-ops-diag"))
         .unwrap();
     assert_eq!(call_add(&net, host.endpoint(), 2, 3), "5");
-    let mut conn = net.connect(&stats_ep).unwrap();
+    let mut conn = net.connect(&diag_ep).unwrap();
+    conn.send(b"stats").unwrap();
     let text = String::from_utf8(conn.receive_timeout(Duration::from_secs(5)).unwrap()).unwrap();
     let snap = Snapshot::parse_text(&text).unwrap();
     assert!(snap.counter("starlink_sessions_finished_total") >= 1);

@@ -308,8 +308,8 @@ fn host_exposes_traces_as_chrome_json_over_the_network() {
         MediatorHost::deploy_multiplexed(mediator, &Endpoint::memory("traced-bridge"), 2).unwrap();
     let traces = host.trace_buffer().expect("tracing was enabled");
     assert!(host.flight_recorder().is_some());
-    let trace_ep = host
-        .expose_traces(&net, &Endpoint::memory("traced-traces"))
+    let diag_ep = host
+        .expose_diagnostics(&net, &Endpoint::memory("traced-diag"))
         .unwrap();
 
     let mut client = RpcClient::connect(
@@ -334,7 +334,8 @@ fn host_exposes_traces_as_chrome_json_over_the_network() {
     }
     assert!(!traces.traces().is_empty(), "no trace completed in time");
 
-    let mut conn = net.connect(&trace_ep).unwrap();
+    let mut conn = net.connect(&diag_ep).unwrap();
+    conn.send(b"traces").unwrap();
     let frame = conn.receive().unwrap();
     let json = String::from_utf8(frame).unwrap();
     let stats = validate_chrome_trace(&json).expect("served trace is valid Chrome JSON");
@@ -349,8 +350,15 @@ fn untraced_host_has_no_trace_surface() {
     let host = MediatorHost::deploy(mediator, &Endpoint::memory("untraced-bridge")).unwrap();
     assert!(host.trace_buffer().is_none());
     assert!(host.flight_recorder().is_none());
-    assert!(host
-        .expose_traces(&net, &Endpoint::memory("untraced-traces"))
-        .is_err());
+    let diag_ep = host
+        .expose_diagnostics(&net, &Endpoint::memory("untraced-diag"))
+        .unwrap();
+    let mut conn = net.connect(&diag_ep).unwrap();
+    conn.send(b"traces").unwrap();
+    let frame = String::from_utf8(conn.receive().unwrap()).unwrap();
+    assert!(
+        frame.starts_with("error: tracing not enabled"),
+        "unexpected frame: {frame}"
+    );
     host.shutdown();
 }

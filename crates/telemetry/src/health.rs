@@ -6,13 +6,12 @@
 //! reduces the operations plane's inputs — windowed rates from
 //! [`crate::WindowAggregator`], saturation gauges from the lifetime
 //! [`crate::Snapshot`], and the stall watchdog's count — to a
-//! three-valued [`HealthStatus`] with per-check reasons, rolled up
-//! overall and per merged-automaton pair.
+//! three-valued [`HealthStatus`] with per-check reasons for the
+//! merged-automaton pair a host serves.
 //!
-//! The report has a line-oriented text form ([`HealthReport::render_text`]
-//! / [`HealthReport::parse_text`], exact inverses) served by the
-//! diagnostics endpoint, and a metric form ([`HealthReport::families`])
-//! merged into the stats snapshot so scrapers see the same verdict.
+//! The verdict leaves the process only as snapshot gauges
+//! ([`PairHealth::families`]), merged into the `stats` snapshot, so
+//! scrapers and `starlink health` read the same numbers.
 
 use crate::snapshot::{MetricFamily, MetricKind, Sample};
 use crate::window::WindowCounts;
@@ -33,22 +32,12 @@ pub enum HealthStatus {
 
 impl HealthStatus {
     /// Stable lowercase label (`"healthy"` / `"degraded"` /
-    /// `"unhealthy"`), used in the text form and metric labels.
+    /// `"unhealthy"`), used in human-readable output.
     pub fn label(self) -> &'static str {
         match self {
             HealthStatus::Healthy => "healthy",
             HealthStatus::Degraded => "degraded",
             HealthStatus::Unhealthy => "unhealthy",
-        }
-    }
-
-    /// Parses a label produced by [`HealthStatus::label`].
-    pub fn parse(label: &str) -> Option<HealthStatus> {
-        match label {
-            "healthy" => Some(HealthStatus::Healthy),
-            "degraded" => Some(HealthStatus::Degraded),
-            "unhealthy" => Some(HealthStatus::Unhealthy),
-            _ => None,
         }
     }
 
@@ -96,15 +85,6 @@ pub struct PairHealth {
     pub status: HealthStatus,
     /// The individual checks, in evaluation order.
     pub checks: Vec<HealthCheck>,
-}
-
-/// The full report: overall verdict plus per-pair breakdowns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HealthReport {
-    /// Worst status across all pairs.
-    pub overall: HealthStatus,
-    /// Per merged-automaton pair health.
-    pub pairs: Vec<PairHealth>,
 }
 
 /// Warning/critical thresholds the health checks compare against.
@@ -278,152 +258,33 @@ pub fn evaluate_pair(inputs: &HealthInputs, thresholds: &HealthThresholds) -> Pa
     }
 }
 
-impl HealthReport {
-    /// A report over one pair (the common single-merge host case).
-    pub fn single(pair: PairHealth) -> HealthReport {
-        HealthReport {
-            overall: pair.status,
-            pairs: vec![pair],
-        }
-    }
-
-    /// A report rolled up from several pairs.
-    pub fn from_pairs(pairs: Vec<PairHealth>) -> HealthReport {
-        let overall = pairs
-            .iter()
-            .map(|p| p.status)
-            .max()
-            .unwrap_or(HealthStatus::Healthy);
-        HealthReport { overall, pairs }
-    }
-
-    /// Renders the report in its line-oriented text form:
-    ///
-    /// ```text
-    /// starlink-health degraded
-    /// pair Add~Plus degraded
-    /// check failure-rate healthy 0 failed / 12 started (last 60s)
-    /// check stalled-sessions degraded 1 stalled now, 1 stall events (last 60s)
-    /// end
-    /// ```
-    ///
-    /// Exact inverse of [`HealthReport::parse_text`].
-    pub fn render_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("starlink-health ");
-        out.push_str(self.overall.label());
-        out.push('\n');
-        for pair in &self.pairs {
-            out.push_str("pair ");
-            out.push_str(&escape_token(&pair.pair));
-            out.push(' ');
-            out.push_str(pair.status.label());
-            out.push('\n');
-            for check in &pair.checks {
-                out.push_str("check ");
-                out.push_str(&check.name);
-                out.push(' ');
-                out.push_str(check.status.label());
-                out.push(' ');
-                out.push_str(&check.reason);
-                out.push('\n');
-            }
-        }
-        out.push_str("end\n");
-        out
-    }
-
-    /// Parses a document produced by [`HealthReport::render_text`].
-    /// Exact inverse: `parse_text(render_text(r)) == Ok(r)`.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the first malformed line.
-    pub fn parse_text(text: &str) -> Result<HealthReport, String> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or("empty health report")?;
-        let overall = header
-            .strip_prefix("starlink-health ")
-            .and_then(HealthStatus::parse)
-            .ok_or_else(|| {
-                format!("line 1: expected `starlink-health <status>`, got `{header}`")
-            })?;
-        let mut pairs: Vec<PairHealth> = Vec::new();
-        let mut saw_end = false;
-        for (idx, line) in lines {
-            let line_no = idx + 1;
-            if line.is_empty() {
-                continue;
-            }
-            if line == "end" {
-                saw_end = true;
-                break;
-            }
-            if let Some(rest) = line.strip_prefix("pair ") {
-                let (pair, status) = rest
-                    .rsplit_once(' ')
-                    .ok_or_else(|| format!("line {line_no}: malformed pair line `{line}`"))?;
-                let status = HealthStatus::parse(status)
-                    .ok_or_else(|| format!("line {line_no}: unknown status `{status}`"))?;
-                pairs.push(PairHealth {
-                    pair: unescape_token(pair),
-                    status,
-                    checks: Vec::new(),
-                });
-            } else if let Some(rest) = line.strip_prefix("check ") {
-                let pair = pairs
-                    .last_mut()
-                    .ok_or_else(|| format!("line {line_no}: check before any pair"))?;
-                let (name, rest) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| format!("line {line_no}: malformed check line `{line}`"))?;
-                let (status, reason) = rest
-                    .split_once(' ')
-                    .map(|(s, r)| (s, r.to_owned()))
-                    .unwrap_or((rest, String::new()));
-                let status = HealthStatus::parse(status)
-                    .ok_or_else(|| format!("line {line_no}: unknown status `{status}`"))?;
-                pair.checks.push(HealthCheck {
-                    name: name.to_owned(),
-                    status,
-                    reason,
-                });
-            } else {
-                return Err(format!("line {line_no}: unrecognised line `{line}`"));
-            }
-        }
-        if !saw_end {
-            return Err("health report missing `end` terminator".to_owned());
-        }
-        Ok(HealthReport { overall, pairs })
-    }
-
-    /// The report as gauge families for the stats snapshot:
+impl PairHealth {
+    /// The verdict as gauge families for the stats snapshot:
     /// `starlink_health_status{pair}` and
-    /// `starlink_health_check{pair,check}` with values 0/1/2
-    /// (healthy/degraded/unhealthy).
+    /// `starlink_health_check{pair,check,reason}` with values 0/1/2
+    /// (healthy/degraded/unhealthy). The snapshot exposition escapes
+    /// label text, so any reason survives the round trip.
     pub fn families(&self) -> Vec<MetricFamily> {
-        let mut status_samples = Vec::with_capacity(self.pairs.len());
-        let mut check_samples = Vec::new();
-        for pair in &self.pairs {
-            status_samples.push(Sample {
-                labels: vec![("pair".to_owned(), pair.pair.clone())],
-                value: pair.status.gauge_value(),
-            });
-            for check in &pair.checks {
-                check_samples.push(Sample {
-                    labels: vec![
-                        ("pair".to_owned(), pair.pair.clone()),
-                        ("check".to_owned(), check.name.clone()),
-                    ],
-                    value: check.status.gauge_value(),
-                });
-            }
-        }
+        let check_samples: Vec<Sample> = self
+            .checks
+            .iter()
+            .map(|check| Sample {
+                labels: vec![
+                    ("pair".to_owned(), self.pair.clone()),
+                    ("check".to_owned(), check.name.clone()),
+                    ("reason".to_owned(), check.reason.clone()),
+                ],
+                value: check.status.gauge_value(),
+            })
+            .collect();
         let mut families = vec![MetricFamily::simple(
             "starlink_health_status",
             MetricKind::Gauge,
-            status_samples,
+            vec![Sample::labelled(
+                "pair",
+                &self.pair,
+                self.status.gauge_value(),
+            )],
         )];
         if !check_samples.is_empty() {
             families.push(MetricFamily::simple(
@@ -434,29 +295,6 @@ impl HealthReport {
         }
         families
     }
-}
-
-/// Pair names travel as one whitespace-delimited token in the text form;
-/// spaces inside the automaton name are escaped to keep lines parseable.
-fn escape_token(name: &str) -> String {
-    name.replace('\\', "\\\\").replace(' ', "\\s")
-}
-
-fn unescape_token(token: &str) -> String {
-    let mut out = String::with_capacity(token.len());
-    let mut chars = token.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('s') => out.push(' '),
-                Some(other) => out.push(other),
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -480,10 +318,10 @@ mod tests {
 
     #[test]
     fn quiet_bridge_is_healthy() {
-        let report = HealthReport::single(evaluate_pair(&inputs(), &HealthThresholds::default()));
-        assert_eq!(report.overall, HealthStatus::Healthy);
-        assert_eq!(report.pairs[0].checks.len(), 4);
-        assert!(report.pairs[0]
+        let pair = evaluate_pair(&inputs(), &HealthThresholds::default());
+        assert_eq!(pair.status, HealthStatus::Healthy);
+        assert_eq!(pair.checks.len(), 4);
+        assert!(pair
             .checks
             .iter()
             .all(|c| c.status == HealthStatus::Healthy));
@@ -580,44 +418,6 @@ mod tests {
     }
 
     #[test]
-    fn render_parse_round_trip() {
-        let mut i = inputs();
-        i.stalled_now = 2;
-        i.window.failed = 10;
-        i.window.failures_by_stage = vec![("net".to_owned(), 10)];
-        let report = HealthReport::single(evaluate_pair(&i, &HealthThresholds::default()));
-        let text = report.render_text();
-        let back = HealthReport::parse_text(&text).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn pair_names_with_spaces_round_trip() {
-        let report = HealthReport::single(PairHealth {
-            pair: "Add Client ~ Plus\\Service".to_owned(),
-            status: HealthStatus::Healthy,
-            checks: vec![HealthCheck {
-                name: "failure-rate".to_owned(),
-                status: HealthStatus::Healthy,
-                reason: "0 failed / 0 started (last 60s)".to_owned(),
-            }],
-        });
-        let back = HealthReport::parse_text(&report.render_text()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_documents() {
-        assert!(HealthReport::parse_text("").is_err());
-        assert!(HealthReport::parse_text("starlink-health fine\nend\n").is_err());
-        assert!(HealthReport::parse_text("starlink-health healthy\n").is_err()); // no end
-        assert!(
-            HealthReport::parse_text("starlink-health healthy\ncheck x healthy y\nend\n").is_err()
-        );
-        assert!(HealthReport::parse_text("starlink-health healthy\nwhat\nend\n").is_err());
-    }
-
-    #[test]
     fn exit_codes_follow_the_contract() {
         assert_eq!(HealthStatus::Healthy.exit_code(), 0);
         assert_eq!(HealthStatus::Degraded.exit_code(), 1);
@@ -628,9 +428,10 @@ mod tests {
     fn families_expose_statuses_as_gauges() {
         let mut i = inputs();
         i.stalled_now = 1;
-        let report = HealthReport::single(evaluate_pair(&i, &HealthThresholds::default()));
+        i.window.failures_by_stage = vec![("mdl \"quoted\" \\ stage".to_owned(), 1)];
+        let pair = evaluate_pair(&i, &HealthThresholds::default());
         let snap = crate::Snapshot {
-            families: report.families(),
+            families: pair.families(),
         };
         let back = crate::Snapshot::parse_text(&snap.render_text()).unwrap();
         assert_eq!(back, snap);
@@ -638,28 +439,20 @@ mod tests {
             back.value("starlink_health_status", &[("pair", "Add~Plus")]),
             Some(1)
         );
-        assert_eq!(
-            back.value(
-                "starlink_health_check",
-                &[("pair", "Add~Plus"), ("check", "stalled-sessions")]
-            ),
-            Some(1)
-        );
-    }
-
-    #[test]
-    fn multi_pair_rollup_takes_the_worst() {
-        let healthy = PairHealth {
-            pair: "A".to_owned(),
-            status: HealthStatus::Healthy,
-            checks: Vec::new(),
-        };
-        let bad = PairHealth {
-            pair: "B".to_owned(),
-            status: HealthStatus::Unhealthy,
-            checks: Vec::new(),
-        };
-        let report = HealthReport::from_pairs(vec![healthy, bad]);
-        assert_eq!(report.overall, HealthStatus::Unhealthy);
+        for check in &pair.checks {
+            assert_eq!(
+                back.value(
+                    "starlink_health_check",
+                    &[
+                        ("pair", "Add~Plus"),
+                        ("check", &check.name),
+                        ("reason", &check.reason)
+                    ]
+                ),
+                Some(check.status.gauge_value()),
+                "{}",
+                check.name
+            );
+        }
     }
 }

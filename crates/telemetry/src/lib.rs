@@ -40,10 +40,11 @@
 //! * The operations plane — [`WindowAggregator`] buckets lifecycle
 //!   events into a sliding window (rates over the last N seconds,
 //!   labelled per merged-automaton pair), and the health model
-//!   ([`HealthReport`], [`HealthThresholds`], [`evaluate_pair`])
+//!   ([`PairHealth`], [`HealthThresholds`], [`evaluate_pair`])
 //!   reduces windows + snapshot gauges + the stall watchdog's count to
-//!   a three-valued [`HealthStatus`] with per-check reasons, served by
-//!   `MediatorHost::expose_diagnostics` and the `starlink health` CLI.
+//!   a three-valued [`HealthStatus`] with per-check reasons, exported as
+//!   snapshot gauges that `MediatorHost::expose_diagnostics` serves and
+//!   the `starlink health` CLI reads.
 //!
 //! This crate has **zero dependencies** (not even on `starlink-message`)
 //! so every layer of the workspace — codecs, the MTL interpreter,
@@ -74,8 +75,7 @@ pub use export::{
 };
 pub use flight::{FlightRecorder, MessageCapture, RedactionFn};
 pub use health::{
-    evaluate_pair, HealthCheck, HealthInputs, HealthReport, HealthStatus, HealthThresholds,
-    PairHealth,
+    evaluate_pair, HealthCheck, HealthInputs, HealthStatus, HealthThresholds, PairHealth,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, DURATION_BUCKET_BOUNDS_NS};
 pub use recorder::Recorder;

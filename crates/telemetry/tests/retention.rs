@@ -4,8 +4,8 @@
 
 use proptest::prelude::*;
 use starlink_telemetry::{
-    evaluate_pair, window_families, HealthInputs, HealthReport, HealthThresholds, Recorder,
-    SessionTracer, Snapshot, TelemetrySink, TraceBuffer, TraceEvent, WindowCounts,
+    evaluate_pair, window_families, HealthInputs, HealthThresholds, Recorder, SessionTracer,
+    Snapshot, TelemetrySink, TraceBuffer, TraceEvent, WindowCounts,
 };
 
 /// Parses a lifecycle-ring entry's `+<nanos>ns ` prefix.
@@ -125,15 +125,10 @@ proptest! {
             },
             &HealthThresholds::default(),
         );
-        let report = HealthReport::single(pair);
-        snapshot.families.extend(report.families());
+        snapshot.families.extend(pair.families());
 
         let text = snapshot.render_text();
         let parsed = Snapshot::parse_text(&text).expect("own exposition parses");
         prop_assert_eq!(parsed, snapshot);
-
-        // The health report's own wire format is lossless too.
-        let health_back = HealthReport::parse_text(&report.render_text()).expect("health parses");
-        prop_assert_eq!(health_back, report);
     }
 }

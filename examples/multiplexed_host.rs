@@ -74,7 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{CLIENTS} clients × {REQUESTS} calls: {completed} correct replies in {elapsed:?}");
     println!(
         "host counted {} completed sessions",
-        host.completed_sessions()
+        host.telemetry_snapshot()
+            .counter("starlink_sessions_finished_total")
     );
     assert_eq!(completed, CLIENTS * REQUESTS);
 
