@@ -41,8 +41,8 @@ use starlink_message::equiv::SemanticRegistry;
 use starlink_mtl::MtlProgram;
 use starlink_net::{Endpoint, NetError, NetworkEngine};
 use starlink_telemetry::{
-    parse_chrome_trace, validate_chrome_trace, ChromeEvent, HealthCheck, HealthStatus, PairHealth,
-    Snapshot,
+    parse_chrome_trace, render_timeline, validate_chrome_trace, HealthCheck, HealthStatus, Layer,
+    PairHealth, Sample, Snapshot,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -328,10 +328,11 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 fn summarise_snapshot(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "# sessions: {} started, {} finished, {} failed\n",
+        "# sessions: {} started, {} finished, {} failed, {} abandoned\n",
         snap.counter("starlink_sessions_started_total"),
         snap.counter("starlink_sessions_finished_total"),
         snap.counter("starlink_sessions_failed_total"),
+        snap.counter("starlink_sessions_abandoned_total"),
     ));
     let probe = |outcome| {
         snap.value("starlink_dispatch_probe_total", &[("outcome", outcome)])
@@ -373,6 +374,48 @@ fn summarise_snapshot(snap: &Snapshot) -> String {
             format_ns(p90),
             format_ns(p99),
             family.count.unwrap_or(0),
+        ));
+    }
+    out.push_str(&layer_breakdown(snap));
+    out
+}
+
+/// Where the time went: one line per (layer, color) with its span count
+/// and mean, in the order a request meets the layers.
+fn layer_breakdown(snap: &Snapshot) -> String {
+    let Some(counts) = snap.family("starlink_layer_count") else {
+        return String::new();
+    };
+    let label = |sample: &Sample, key: &str| -> String {
+        sample
+            .labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.clone())
+            .unwrap_or_default()
+    };
+    let mut rows: Vec<(usize, u64, String, String, u64)> = counts
+        .samples
+        .iter()
+        .filter_map(|sample| {
+            let layer = label(sample, "layer");
+            let order = Layer::ALL[1..].iter().position(|l| l.label() == layer)?;
+            let color = label(sample, "color");
+            Some((order, color.parse().ok()?, layer, color, sample.value))
+        })
+        .collect();
+    rows.sort();
+    let mut out = String::new();
+    for (_, _, layer, color, count) in rows {
+        let sum = snap
+            .value(
+                "starlink_layer_sum_ns",
+                &[("layer", &layer), ("color", &color)],
+            )
+            .unwrap_or(0);
+        out.push_str(&format!(
+            "# layer {layer:<7} color {color}: {count} span(s), mean {:.1}µs\n",
+            sum as f64 / count.max(1) as f64 / 1_000.0
         ));
     }
     out
@@ -426,54 +469,12 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         stats.events, stats.span_pairs, stats.tracks
     );
     let events = parse_chrome_trace(&json).map_err(|e| format!("trace: {target}: {e}"))?;
-    print!("{}", render_event_timeline(&events));
+    print!("{}", render_timeline(&events));
     if let Some(path) = export {
         std::fs::write(&path, &json).map_err(|e| format!("trace: cannot write {path}: {e}"))?;
         eprintln!("trace: wrote {path} ({} bytes)", json.len());
     }
     Ok(())
-}
-
-/// Plain-text timeline of validated Chrome events, one section per
-/// session track (tid = session trace id), indentation following span
-/// nesting.
-fn render_event_timeline(events: &[ChromeEvent]) -> String {
-    let mut tids: Vec<u64> = events.iter().map(|e| e.tid).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    let mut out = String::new();
-    for tid in tids {
-        out.push_str(&format!("session {tid}\n"));
-        let mut depth = 0usize;
-        for ev in events.iter().filter(|e| e.tid == tid) {
-            let (marker, at_depth) = match ev.ph {
-                'B' => {
-                    depth += 1;
-                    ("▶", depth - 1)
-                }
-                'E' => {
-                    let d = depth.saturating_sub(1);
-                    depth = d;
-                    ("◀", d)
-                }
-                'X' => ("■", depth),
-                _ => ("·", depth),
-            };
-            let dur = match ev.dur_us {
-                Some(d) => format!(" [{d:.1}µs]"),
-                None => String::new(),
-            };
-            out.push_str(&format!(
-                "  {:>10.1}µs  {}{} {}{}\n",
-                ev.ts_us,
-                "  ".repeat(at_depth),
-                marker,
-                ev.name,
-                dur
-            ));
-        }
-    }
-    out
 }
 
 fn cmd_health(args: &[String]) -> Result<ExitCode, String> {
@@ -728,13 +729,21 @@ mod tests {
     fn stats_digest_includes_latency_quantiles() {
         use starlink_telemetry::{Recorder, TelemetrySink, TraceEvent};
         let recorder = Recorder::new();
-        for nanos in [800, 1_500, 3_000, 9_000, 40_000] {
-            recorder.record(&TraceEvent::Parse {
-                variant: "AddRequest",
-                wire_bytes: 32,
+        let closed = |layer, color, nanos| {
+            recorder.record(&TraceEvent::SpanClosed {
+                layer,
+                color,
                 nanos,
-            });
+            })
+        };
+        for nanos in [800, 1_500, 3_000, 9_000, 40_000] {
+            closed(Layer::Parse, 1, nanos);
         }
+        closed(Layer::Compose, 1, 4_000);
+        closed(Layer::Wait, 2, 90_000);
+        closed(Layer::Wait, 2, 110_000);
+        closed(Layer::Wait, 1, 7_000);
+        closed(Layer::Session, 1, 300_000);
         let snap = TelemetrySink::snapshot(&recorder).unwrap();
         let digest = summarise_snapshot(&snap);
         assert!(
@@ -742,6 +751,22 @@ mod tests {
             "missing quantile line in:\n{digest}"
         );
         assert!(digest.contains("(n=5)"), "missing count in:\n{digest}");
+        // The layer table: request order, colors ascending within a
+        // layer, count and mean; the session root is not a leaf row.
+        let table: Vec<&str> = digest
+            .lines()
+            .filter(|l| l.starts_with("# layer "))
+            .collect();
+        assert_eq!(
+            table,
+            vec![
+                "# layer wait    color 1: 1 span(s), mean 7.0µs",
+                "# layer wait    color 2: 2 span(s), mean 100.0µs",
+                "# layer parse   color 1: 5 span(s), mean 10.9µs",
+                "# layer compose color 1: 1 span(s), mean 4.0µs",
+            ],
+            "{digest}"
+        );
     }
 
     #[test]
@@ -766,7 +791,7 @@ mod tests {
             (HealthStatus::Degraded, 1),
             (HealthStatus::Unhealthy, 2),
         ] {
-            let health = health_from_snapshot(&rendered(status, "0 failed / 0 started"));
+            let health = health_from_snapshot(&rendered(status, "failure ratio below threshold"));
             assert_eq!(health_exit_code(&health), code, "{status}");
         }
 
@@ -796,32 +821,5 @@ mod tests {
             .contains("starlink_health_status"));
         assert_eq!(health_exit_code(&missing), 3);
         assert_eq!(health_exit_code(&health_from_snapshot("not a snapshot")), 3);
-    }
-
-    #[test]
-    fn trace_timeline_indents_span_pairs() {
-        let mk = |name: &str, ph: char, ts_us: f64| ChromeEvent {
-            name: name.to_owned(),
-            cat: "starlink".to_owned(),
-            ph,
-            ts_us,
-            dur_us: if ph == 'X' { Some(2.0) } else { None },
-            pid: 1,
-            tid: 7,
-            args: Vec::new(),
-        };
-        let events = vec![
-            mk("session", 'B', 0.0),
-            mk("receive", 'B', 1.0),
-            mk("parse", 'X', 2.0),
-            mk("receive", 'E', 5.0),
-            mk("session", 'E', 9.0),
-        ];
-        let text = render_event_timeline(&events);
-        assert!(text.starts_with("session 7\n"));
-        assert!(text.contains("▶ session"));
-        assert!(text.contains("  ▶ receive"));
-        assert!(text.contains("■ parse [2.0µs]"));
-        assert!(text.contains("◀ session"));
     }
 }

@@ -1,3 +1,4 @@
+use starlink_telemetry::AbandonReason;
 use std::fmt;
 
 /// Errors produced by the Starlink runtime.
@@ -91,17 +92,19 @@ impl CoreError {
         }
     }
 
-    /// Whether this error is part of normal operation rather than a
-    /// failure worth reporting: receive timeouts restart the traversal,
-    /// a closed connection is how clients hang up, and
+    /// Why a traversal ending in this error was abandoned, when the
+    /// error is part of normal operation rather than a failure worth
+    /// reporting: receive timeouts restart the traversal, a closed
+    /// connection is how clients hang up, and
     /// [`CoreError::HostStopped`] is orderly shutdown.
-    pub fn is_orderly_end(&self) -> bool {
-        matches!(
-            self,
-            CoreError::Net(starlink_net::NetError::Closed)
-                | CoreError::Net(starlink_net::NetError::Timeout)
-                | CoreError::HostStopped
-        )
+    pub fn abandon_reason(&self) -> Option<AbandonReason> {
+        match self {
+            CoreError::Net(starlink_net::NetError::Timeout) => Some(AbandonReason::Timeout),
+            CoreError::Net(starlink_net::NetError::Closed) | CoreError::HostStopped => {
+                Some(AbandonReason::Closed)
+            }
+            _ => None,
+        }
     }
 }
 

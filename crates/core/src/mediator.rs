@@ -357,6 +357,7 @@ impl DiagState {
                 started: lifetime.counter("starlink_sessions_started_total"),
                 finished: lifetime.counter("starlink_sessions_finished_total"),
                 failed: lifetime.counter("starlink_sessions_failed_total"),
+                abandoned: lifetime.counter("starlink_sessions_abandoned_total"),
                 accepted: lifetime.counter("starlink_sessions_accepted_total"),
                 accept_errors: lifetime.counter("starlink_accept_errors_total"),
                 stalled: lifetime.counter("starlink_sessions_stalled_total"),
@@ -464,6 +465,7 @@ impl MediatorHost {
                         continue;
                     }
                 };
+                reap_finished(&mut session_threads);
                 let (tracer, watch) = admit(sink.as_ref(), accept_ops.as_ref());
                 let mediator = mediator.clone();
                 let stop = accept_stop.clone();
@@ -695,6 +697,21 @@ impl MediatorHost {
 impl Drop for MediatorHost {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Joins the session threads that have exited, so a long-running accept
+/// loop keeps handles — and the exited threads' stacks — only for live
+/// connections. A panicked session's join error is dropped, as at
+/// shutdown.
+fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < threads.len() {
+        if threads[i].is_finished() {
+            let _ = threads.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -960,4 +977,37 @@ fn coordinator_loop(
     }
     // Dropping `jobs` (by returning) lets workers drain and exit; the
     // host joins them after the coordinator.
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn wait_finished(thread: &JoinHandle<()>) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !thread.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(thread.is_finished(), "thread did not exit in time");
+    }
+
+    #[test]
+    fn reap_finished_joins_only_exited_threads() {
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let mut threads = vec![
+            std::thread::spawn(|| {}),
+            std::thread::spawn(move || {
+                let _ = released.recv();
+            }),
+        ];
+        wait_finished(&threads[0]);
+        reap_finished(&mut threads);
+        assert_eq!(threads.len(), 1, "the live session thread is kept");
+        assert!(!threads[0].is_finished());
+
+        release.send(()).unwrap();
+        wait_finished(&threads[0]);
+        reap_finished(&mut threads);
+        assert!(threads.is_empty());
+    }
 }

@@ -32,7 +32,8 @@ use starlink_mdl::MessageCodec;
 use starlink_message::{AbstractMessage, Direction, History, Value};
 use starlink_mtl::{MtlContext, MtlProgram, TranslationCache};
 use starlink_telemetry::{
-    SessionTracer, SpanGuard, SpanScopedSink, TelemetrySink, TraceEvent, TransitionKind,
+    AbandonReason, Layer, SessionTracer, SpanGuard, SpanScopedSink, TelemetrySink, TraceEvent,
+    TransitionKind,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -169,6 +170,15 @@ impl SessionPersist {
     }
 }
 
+/// An open layer span: what it times, since when, and (when a span
+/// sink is tracing) its tracer guard.
+struct LayerSpan {
+    layer: Layer,
+    color: u8,
+    since: Instant,
+    guard: Option<SpanGuard>,
+}
+
 /// One automaton traversal as a pure state machine.
 ///
 /// Create with [`SessionCore::new`], kick off with [`SessionCore::start`],
@@ -190,13 +200,15 @@ pub struct SessionCore {
     /// Pending application operation per service color.
     pending_op: HashMap<u8, String>,
     exchanges: usize,
-    /// The traversal's root tracing span (open from start/restart until
-    /// the traversal finishes, fails, or is abandoned).
-    root_span: Option<SpanGuard>,
-    /// When the traversal entered `current`. Only stamped while a sink
-    /// is installed (the no-op path never reads the clock); powers the
-    /// per-state dwell histogram.
-    state_entered: Option<Instant>,
+    /// The traversal's `session` root span, open from start/restart
+    /// until the traversal finishes, fails or is abandoned. `None` while
+    /// the sink is disabled (nothing is timed) and between traversals,
+    /// so it doubles as "this traversal has not ended yet".
+    root: Option<LayerSpan>,
+    /// The leaf layer running now. Each layer boundary is one clock
+    /// read that closes it and opens the next, so the leaves tile the
+    /// root.
+    leaf: Option<LayerSpan>,
     /// Whether a stall watchdog has flagged the current await. Cleared
     /// when bytes arrive or the traversal restarts, so a session that
     /// recovers and stalls again is flagged (and counted) again.
@@ -236,8 +248,8 @@ impl SessionCore {
             last_request_proto: HashMap::new(),
             pending_op: HashMap::new(),
             exchanges: 0,
-            root_span: None,
-            state_entered: None,
+            root: None,
+            leaf: None,
             stall_flagged: false,
         })
     }
@@ -256,27 +268,25 @@ impl SessionCore {
             });
         }
         self.started = true;
-        self.state_entered = self.spec.telemetry.enabled().then(Instant::now);
-        self.root_span = self.open_span("session");
-        self.emit(&TraceEvent::SessionStarted);
+        self.begin_traversal();
         let mut ios = Vec::new();
         self.advance(&mut ios)?;
         Ok(ios)
     }
 
-    /// Abandons the finished (or timed-out) traversal and begins a new
-    /// one on the same connection, keeping persistent state. Each
+    /// Begins a new traversal on the same connection after the previous
+    /// one finished (or timed out), keeping persistent state. Each
     /// traversal forms its own root span (sharing the connection's
-    /// session trace id); an abandoned traversal's trace completes here.
+    /// session trace id); an unfinished traversal is abandoned here with
+    /// reason `timeout`, completing its trace.
     ///
     /// # Errors
     ///
     /// Any engine failure while advancing the fresh traversal.
     pub fn restart(&mut self) -> Result<Vec<SessionIo>> {
-        self.close_root();
+        self.end_traversal(AbandonReason::Timeout);
         self.reset_traversal();
-        self.root_span = self.open_span("session");
-        self.emit(&TraceEvent::SessionStarted);
+        self.begin_traversal();
         let mut ios = Vec::new();
         self.advance(&mut ios)?;
         Ok(ios)
@@ -319,10 +329,8 @@ impl SessionCore {
                 self.awaiting = None;
                 self.stall_flagged = false;
                 let mut ios = Vec::new();
-                let span = self.open_span("receive");
-                let received = self.consume_wire(color, &bytes);
-                self.close_span(span);
-                received?;
+                self.enter(Layer::Parse, color);
+                self.consume_wire(color, &bytes)?;
                 self.advance(&mut ios)?;
                 Ok(ios)
             }
@@ -340,9 +348,11 @@ impl SessionCore {
         &self.current
     }
 
-    /// Hands back the connection-scoped persistent state.
-    pub fn into_persist(self) -> SessionPersist {
-        self.persist
+    /// Hands back the connection-scoped persistent state, abandoning a
+    /// traversal still in flight.
+    pub fn into_persist(mut self) -> SessionPersist {
+        self.abandon();
+        std::mem::take(&mut self.persist)
     }
 
     /// The session's trace id, when tracing is active.
@@ -359,45 +369,110 @@ impl SessionCore {
         }
     }
 
-    fn open_span(&self, name: &'static str) -> Option<SpanGuard> {
-        self.persist
+    /// Whether this traversal is observed: its sink was enabled when it
+    /// began, so it is timed and its events are worth constructing.
+    fn observed(&self) -> bool {
+        self.root.is_some()
+    }
+
+    /// When the sink is enabled, opens the traversal's root span and
+    /// reports the start; its end is then reported exactly once.
+    fn begin_traversal(&mut self) {
+        if self.spec.telemetry.enabled() {
+            let root = self.open_span(Layer::Session, self.spec.client_color, Instant::now());
+            self.root = Some(root);
+            self.emit(&TraceEvent::SessionStarted);
+        }
+    }
+
+    /// A layer boundary: one clock read closes the running leaf layer
+    /// and opens `layer` on `color` at the same instant. No-op while
+    /// nothing is timed.
+    fn enter(&mut self, layer: Layer, color: u8) {
+        if !self.observed() {
+            return;
+        }
+        let now = Instant::now();
+        if let Some(leaf) = self.leaf.take() {
+            self.close_span(leaf, now);
+        }
+        self.leaf = Some(self.open_span(layer, color, now));
+    }
+
+    /// Starts a span at `at`; the open is only recorded for span sinks.
+    fn open_span(&self, layer: Layer, color: u8, at: Instant) -> LayerSpan {
+        let guard = self
+            .persist
             .tracer
             .as_ref()
             .filter(|_| self.spec.telemetry.wants_spans())
-            .map(|t| t.open(self.spec.telemetry.as_ref(), name))
-    }
-
-    fn close_span(&self, guard: Option<SpanGuard>) {
-        if let (Some(tracer), Some(guard)) = (&self.persist.tracer, guard) {
-            tracer.close(self.spec.telemetry.as_ref(), guard);
+            .map(|t| t.open(self.spec.telemetry.as_ref(), layer, color, at));
+        LayerSpan {
+            layer,
+            color,
+            since: at,
+            guard,
         }
     }
 
-    /// Closes the traversal's root span, completing its trace in any
-    /// span-retaining sink.
-    fn close_root(&mut self) {
-        let guard = self.root_span.take();
-        self.close_span(guard);
+    /// Ends a span at `at`, recording [`TraceEvent::SpanClosed`].
+    fn close_span(&self, span: LayerSpan, at: Instant) {
+        let nanos = at.saturating_duration_since(span.since).as_nanos() as u64;
+        match (&self.persist.tracer, span.guard) {
+            (Some(tracer), Some(guard)) => {
+                tracer.close(self.spec.telemetry.as_ref(), guard, at, nanos);
+            }
+            _ => self.emit(&TraceEvent::SpanClosed {
+                layer: span.layer,
+                color: span.color,
+                nanos,
+            }),
+        }
     }
 
-    /// Reports a traversal failure and completes the trace. Filters the
-    /// outcomes that are part of normal operation: receive timeouts
-    /// restart the traversal, a closed connection is how clients hang
-    /// up, and [`CoreError::HostStopped`] is orderly shutdown.
+    /// Closes the running leaf and then the root at one clock read,
+    /// completing the traversal's trace in any span-retaining sink.
+    fn close_root(&mut self) {
+        let Some(root) = self.root.take() else {
+            return;
+        };
+        let now = Instant::now();
+        if let Some(leaf) = self.leaf.take() {
+            self.close_span(leaf, now);
+        }
+        self.close_span(root, now);
+    }
+
+    /// Ends a traversal that neither finished nor failed. Each traversal
+    /// ends once: a no-op when none is open.
+    fn end_traversal(&mut self, reason: AbandonReason) {
+        if self.observed() {
+            self.emit(&TraceEvent::SessionAbandoned { reason });
+            self.close_root();
+        }
+    }
+
+    /// Reports a traversal failure and completes the trace. The outcomes
+    /// that are part of normal operation count as abandoned instead: a
+    /// receive timeout restarts the traversal, a closed connection is how
+    /// clients hang up, and [`CoreError::HostStopped`] is orderly
+    /// shutdown.
     pub(crate) fn record_failure(&mut self, err: &CoreError) {
-        if !err.is_orderly_end() {
+        if let Some(reason) = err.abandon_reason() {
+            self.end_traversal(reason);
+        } else if self.observed() {
             self.emit(&TraceEvent::SessionFailed {
                 stage: err.stage_label(),
             });
+            self.close_root();
         }
-        self.close_root();
     }
 
     /// Ends tracing for a session being dropped without a result (e.g.
     /// its connection died while parked), so its partial trace completes
     /// instead of lingering as an active session.
     pub(crate) fn abandon(&mut self) {
-        self.close_root();
+        self.end_traversal(AbandonReason::Dropped);
     }
 
     /// Captures an abstract message crossing the mediator as a
@@ -471,20 +546,7 @@ impl SessionCore {
         self.last_request_proto.clear();
         self.pending_op.clear();
         self.exchanges = 0;
-        self.state_entered = self.spec.telemetry.enabled().then(Instant::now);
         self.stall_flagged = false;
-    }
-
-    /// Emits the dwell time of the state being exited and restamps the
-    /// entry clock. No-op unless a sink stamped `state_entered`.
-    fn note_dwell(&mut self) {
-        if let Some(entered) = self.state_entered {
-            self.emit(&TraceEvent::StateDwell {
-                state: &self.current,
-                nanos: entered.elapsed().as_nanos() as u64,
-            });
-            self.state_entered = Some(Instant::now());
-        }
     }
 
     /// Called by a stall watchdog: flags the current await as stalled
@@ -511,19 +573,19 @@ impl SessionCore {
     }
 
     /// Parses + unbinds an incoming wire message, matches it against the
-    /// expected receive transitions, and records it in the history.
+    /// expected receive transitions, and records it in the history. The
+    /// caller has entered the parse layer.
     fn consume_wire(&mut self, color: u8, wire: &[u8]) -> Result<()> {
         // Local handle so borrows of the spec don't pin `self`.
         let spec = Arc::clone(&self.spec);
         let cfg = color_config(&spec, color)?;
-        let traced = spec.telemetry.enabled();
+        let traced = self.observed();
         if traced {
             self.emit(&TraceEvent::WireIn {
                 color,
                 bytes: wire.len(),
             });
         }
-        let parse_start = traced.then(Instant::now);
         let proto = match &self.persist.tracer {
             // Through a span-scoped sink so dispatch-probe events carry
             // the session's causal metadata.
@@ -533,13 +595,7 @@ impl SessionCore {
             }
             None => cfg.codec.parse(wire)?,
         };
-        if let Some(start) = parse_start {
-            self.emit(&TraceEvent::Parse {
-                variant: proto.name(),
-                wire_bytes: wire.len(),
-                nanos: start.elapsed().as_nanos() as u64,
-            });
-        }
+        self.enter(Layer::Unbind, color);
         let app = if color == spec.client_color {
             let app = cfg
                 .binding
@@ -577,7 +633,6 @@ impl SessionCore {
         }
         self.history.record(to.clone(), Direction::Received, app);
         self.exchanges += 1;
-        self.note_dwell();
         self.current = to;
         Ok(())
     }
@@ -587,7 +642,6 @@ impl SessionCore {
     fn advance(&mut self, ios: &mut Vec<SessionIo>) -> Result<()> {
         // Local handle so borrows of the spec don't pin `self`.
         let spec = Arc::clone(&self.spec);
-        let traced = spec.telemetry.enabled();
         loop {
             let outgoing: Vec<&Transition> =
                 spec.automaton.transitions_from(&self.current).collect();
@@ -597,11 +651,13 @@ impl SessionCore {
                     // Emitted before the driver executes any sends still
                     // in `ios`, so the completion counter is ahead of the
                     // final reply reaching the wire (docs/engine.md).
-                    self.emit(&TraceEvent::SessionFinished {
-                        final_state: &self.current,
-                        exchanges: self.exchanges,
-                    });
-                    self.close_root();
+                    if self.observed() {
+                        self.emit(&TraceEvent::SessionFinished {
+                            final_state: &self.current,
+                            exchanges: self.exchanges,
+                        });
+                        self.close_root();
+                    }
                     ios.push(SessionIo::Finished(SessionOutcome {
                         final_state: self.current.clone(),
                         exchanges: self.exchanges,
@@ -621,6 +677,7 @@ impl SessionCore {
                         });
                     }
                     self.awaiting = Some(color);
+                    self.enter(Layer::Wait, color);
                     ios.push(SessionIo::NeedRecv { color });
                     return Ok(());
                 }
@@ -628,21 +685,11 @@ impl SessionCore {
                     let t = outgoing[0];
                     let to = t.to.clone();
                     let from = t.from.clone();
-                    let span = self.open_span("gamma");
-                    let executed = self.gamma_step(&spec, &from, &to, traced);
-                    self.close_span(span);
-                    executed?;
-                    self.note_dwell();
+                    self.gamma_step(&spec, &from, &to)?;
                     self.current = to;
                 }
                 Action::Send(_) => {
-                    let t = outgoing[0];
-                    let span = self.open_span("send");
-                    let sent = self.send_step(&spec, t, traced, ios);
-                    self.close_span(span);
-                    let next = sent?;
-                    self.note_dwell();
-                    self.current = next;
+                    self.current = self.send_step(&spec, outgoing[0], ios)?;
                 }
             }
         }
@@ -652,13 +699,15 @@ impl SessionCore {
     /// the session history, honouring `sethost` overrides and parking
     /// the produced message for the next send. The caller advances
     /// `self.current` on success.
-    fn gamma_step(
-        &mut self,
-        spec: &Arc<SessionSpec>,
-        from: &str,
-        to: &str,
-        traced: bool,
-    ) -> Result<()> {
+    fn gamma_step(&mut self, spec: &Arc<SessionSpec>, from: &str, to: &str) -> Result<()> {
+        let traced = self.observed();
+        // The γ's color is only reported, so only looked up when traced.
+        let color = if traced {
+            state_color(&spec.automaton, from).unwrap_or(0)
+        } else {
+            0
+        };
+        self.enter(Layer::Gamma, color);
         let snapshot_messages = traced && spec.telemetry.wants_messages();
         if snapshot_messages {
             // The message the γ translates *from* is the most recently
@@ -672,7 +721,6 @@ impl SessionCore {
             .get(&(from.to_owned(), to.to_owned()))
             .cloned()
             .unwrap_or_else(MtlProgram::empty);
-        let gamma_start = traced.then(Instant::now);
         let (executed, host, output) = {
             let mut ctx = MtlContext::new(&self.history, &mut self.persist.cache);
             // Pre-register the message the next send will need, composed
@@ -680,32 +728,18 @@ impl SessionCore {
             if let Some(send_template) = next_send_template(&spec.automaton, to) {
                 ctx.add_output(to.to_owned(), AbstractMessage::new(send_template.name()));
             }
-            let executed = match &self.persist.tracer {
-                // Through a span-scoped sink so the interpreter's
-                // `Translate` events land inside the gamma span.
-                Some(tracer) => {
-                    let scoped = SpanScopedSink::new(tracer, spec.telemetry.as_ref());
-                    program.execute_traced(&mut ctx, &scoped)
-                }
-                None => program.execute_traced(&mut ctx, spec.telemetry.as_ref()),
-            };
+            let executed = program.execute(&mut ctx);
             let host = ctx.host_override().map(str::to_owned);
             let output = ctx.take_output(to);
             (executed, host, output)
         };
         executed?;
-        if let Some(start) = gamma_start {
-            self.emit(&TraceEvent::GammaExecuted {
-                from,
-                to,
-                statements: program.statements.len(),
-                nanos: start.elapsed().as_nanos() as u64,
-            });
+        if traced {
             self.emit(&TraceEvent::Transition {
                 from,
                 to,
                 kind: TransitionKind::Gamma,
-                color: state_color(&spec.automaton, from).unwrap_or(0),
+                color,
             });
         }
         if let Some(host) = host {
@@ -727,9 +761,11 @@ impl SessionCore {
         &mut self,
         spec: &Arc<SessionSpec>,
         t: &Transition,
-        traced: bool,
         ios: &mut Vec<SessionIo>,
     ) -> Result<String> {
+        let traced = self.observed();
+        let color = state_color(&spec.automaton, &self.current)?;
+        self.enter(Layer::Bind, color);
         let template = t.action.message().expect("send actions carry a message");
         let mut app = self
             .pending
@@ -739,28 +775,12 @@ impl SessionCore {
         if traced && spec.telemetry.wants_messages() {
             self.snapshot_message("sent", &app);
         }
-        let color = state_color(&spec.automaton, &self.current)?;
         let cfg = color_config(spec, color)?;
-        if color == spec.client_color {
+        let to_client = color == spec.client_color;
+        let proto = if to_client {
             // Reply to the client.
-            let proto = cfg
-                .binding
-                .bind_reply(&app, self.last_request_proto.get(&color))?;
-            let mut bytes = self.take_wire_buf();
-            let compose_start = traced.then(Instant::now);
-            cfg.codec.compose_into(&proto, &mut bytes)?;
-            if let Some(start) = compose_start {
-                self.emit(&TraceEvent::Compose {
-                    variant: proto.name(),
-                    wire_bytes: bytes.len(),
-                    nanos: start.elapsed().as_nanos() as u64,
-                });
-                self.emit(&TraceEvent::WireOut {
-                    color,
-                    bytes: bytes.len(),
-                });
-            }
-            ios.push(SessionIo::SendWire { color, bytes });
+            cfg.binding
+                .bind_reply(&app, self.last_request_proto.get(&color))?
         } else {
             // Request to a service.
             let mut proto = cfg.binding.bind_request(&app)?;
@@ -769,29 +789,27 @@ impl SessionCore {
                     proto.set_path(corr, Value::UInt(self.exchanges as u64 + 1))?;
                 }
             }
-            let mut bytes = self.take_wire_buf();
-            let compose_start = traced.then(Instant::now);
-            cfg.codec.compose_into(&proto, &mut bytes)?;
-            if let Some(start) = compose_start {
-                self.emit(&TraceEvent::Compose {
-                    variant: proto.name(),
-                    wire_bytes: bytes.len(),
-                    nanos: start.elapsed().as_nanos() as u64,
-                });
-                self.emit(&TraceEvent::WireOut {
-                    color,
-                    bytes: bytes.len(),
-                });
+            proto
+        };
+        self.enter(Layer::Compose, color);
+        let mut bytes = self.take_wire_buf();
+        cfg.codec.compose_into(&proto, &mut bytes)?;
+        if traced {
+            self.emit(&TraceEvent::WireOut {
+                color,
+                bytes: bytes.len(),
+            });
+        }
+        if !to_client && !self.persist.connected.contains(&color) {
+            let endpoint = service_endpoint(spec, &self.persist, color)?;
+            self.persist.connected.insert(color);
+            if traced {
+                self.emit(&TraceEvent::ServiceConnected { color });
             }
-            if !self.persist.connected.contains(&color) {
-                let endpoint = service_endpoint(spec, &self.persist, color)?;
-                self.persist.connected.insert(color);
-                if traced {
-                    self.emit(&TraceEvent::ServiceConnected { color });
-                }
-                ios.push(SessionIo::ConnectService { color, endpoint });
-            }
-            ios.push(SessionIo::SendWire { color, bytes });
+            ios.push(SessionIo::ConnectService { color, endpoint });
+        }
+        ios.push(SessionIo::SendWire { color, bytes });
+        if !to_client {
             self.last_request_proto.insert(color, proto);
             self.pending_op.insert(color, app.name().to_owned());
         }
@@ -807,6 +825,15 @@ impl SessionCore {
             .record(self.current.clone(), Direction::Sent, app);
         self.exchanges += 1;
         Ok(t.to.clone())
+    }
+}
+
+impl Drop for SessionCore {
+    /// A core dropped mid-traversal (host shutdown with sessions parked,
+    /// a replay that stops early) abandons it, so every started
+    /// traversal is counted as ended exactly once.
+    fn drop(&mut self) {
+        self.abandon();
     }
 }
 

@@ -297,8 +297,15 @@ fn telemetry_snapshot_aggregates_and_serves_over_the_wire() {
     // out+in, client reply out — with a γ-translation in between.
     assert!(snap.counter("starlink_wire_messages_in_total") >= 2);
     assert!(snap.counter("starlink_wire_messages_out_total") >= 2);
-    assert!(snap.family("starlink_gamma_duration_ns").is_some());
-    assert!(snap.counter("starlink_parse_bytes_total") > 0);
+    assert!(snap.counter("starlink_wire_bytes_in_total") > 0);
+    // Both legs are timed layer by layer: parse on each color, and the
+    // two γ-translations.
+    for color in ["1", "2"] {
+        let labels = [("layer", "parse"), ("color", color)];
+        assert!(snap.value("starlink_layer_count", &labels) >= Some(1));
+    }
+    let gamma = snap.family("starlink_gamma_duration_ns").unwrap();
+    assert!(gamma.count >= Some(2), "{gamma:?}");
 
     // The `stats` selector serves the same exposition, one frame per
     // connection, parseable back into a snapshot.

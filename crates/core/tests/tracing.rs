@@ -1,6 +1,7 @@
 //! Per-session causal tracing, end to end: a replayed Add→Plus session
-//! must yield a span tree covering accept → parse → γ-translate →
-//! compose → wire-out on both colors with monotonic timestamps, the
+//! must yield a span tree of wait → parse → unbind → γ → bind → compose
+//! layers on both colors, tiling the session root, with monotonic
+//! timestamps, the
 //! flight recorder must show each message before and after γ, and the
 //! exported Chrome trace must validate with balanced span pairs.
 
@@ -164,28 +165,67 @@ fn replayed_session_produces_full_causal_trace() {
     assert_eq!(Some(trace.session), core.trace_id());
 
     // Span tree: one root session span; each leg (client request,
-    // service reply) opens receive, gamma and send spans.
+    // service reply) crosses every leaf layer once, and the engine waits
+    // once on each color.
     let names = trace.span_names();
     let count = |n: &str| names.iter().filter(|&&s| s == n).count();
     assert_eq!(count("session"), 1, "spans: {names:?}");
-    assert_eq!(count("receive"), 2, "spans: {names:?}");
-    assert_eq!(count("gamma"), 2, "spans: {names:?}");
-    assert_eq!(count("send"), 2, "spans: {names:?}");
+    for layer in ["wait", "parse", "unbind", "gamma", "bind", "compose"] {
+        assert_eq!(count(layer), 2, "{layer} spans: {names:?}");
+    }
+    let opens: Vec<_> = trace
+        .records
+        .iter()
+        .filter(|r| r.kind == TraceRecordKind::SpanOpen)
+        .collect();
+    let waits: Vec<&str> = opens
+        .iter()
+        .filter(|r| r.name == "wait")
+        .map(|r| r.detail.as_str())
+        .collect();
+    assert_eq!(waits, vec!["color 1", "color 2"]);
+
+    // Balanced: every open has exactly one close, and every leaf is a
+    // direct child of the root.
+    let closes: Vec<_> = trace
+        .records
+        .iter()
+        .filter(|r| r.kind == TraceRecordKind::SpanClose)
+        .collect();
+    assert_eq!(opens.len(), closes.len());
+    let root = opens[0];
+    for open in &opens {
+        assert_eq!(
+            closes
+                .iter()
+                .filter(|c| c.meta.span == open.meta.span)
+                .count(),
+            1,
+            "{} span {:?} not closed once",
+            open.name,
+            open.meta.span
+        );
+        if open.name != "session" {
+            assert_eq!(open.meta.parent, root.meta.span, "{}", open.name);
+        }
+    }
 
     // Timestamps are monotonic over the whole record stream.
     let ts: Vec<u64> = trace.records.iter().map(|r| r.meta.ts_ns).collect();
     assert!(ts.windows(2).all(|w| w[0] <= w[1]), "non-monotonic: {ts:?}");
 
-    // The pipeline stages all left records, covering both colors.
-    for stage in ["parse", "translate", "gamma", "compose"] {
-        assert!(
-            trace
-                .records
-                .iter()
-                .any(|r| r.name == stage && matches!(r.kind, TraceRecordKind::Timed(_))),
-            "missing timed {stage} record"
-        );
-    }
+    // The leaves tile the root: from the first leaf's start, each layer
+    // boundary ends one leaf and starts the next at one clock read.
+    let duration = |open: &&starlink_telemetry::TraceRecord| {
+        let close = closes
+            .iter()
+            .find(|c| c.meta.span == open.meta.span)
+            .unwrap();
+        close.meta.ts_ns - open.meta.ts_ns
+    };
+    let leaves: u64 = opens[1..].iter().map(duration).sum();
+    let lead_in = opens[1].meta.ts_ns - root.meta.ts_ns;
+    assert_eq!(leaves + lead_in, duration(&root));
     let details_of = |name: &str| -> Vec<&str> {
         trace
             .records
@@ -234,7 +274,7 @@ fn replayed_session_produces_full_causal_trace() {
     // Chrome export: valid, balanced, one session track.
     let json = render_chrome_json(&chrome_events(&trace));
     let stats = validate_chrome_trace(&json).expect("valid Chrome trace");
-    assert_eq!(stats.span_pairs, 7);
+    assert_eq!(stats.span_pairs, 13);
     assert_eq!(stats.tracks, 1);
 }
 
@@ -340,7 +380,7 @@ fn host_exposes_traces_as_chrome_json_over_the_network() {
     let json = String::from_utf8(frame).unwrap();
     let stats = validate_chrome_trace(&json).expect("served trace is valid Chrome JSON");
     assert!(stats.events > 0);
-    assert!(stats.span_pairs >= 7, "span pairs: {}", stats.span_pairs);
+    assert!(stats.span_pairs >= 13, "span pairs: {}", stats.span_pairs);
     host.shutdown();
 }
 

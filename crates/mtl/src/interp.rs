@@ -198,33 +198,6 @@ impl MtlProgram {
         }
         Ok(())
     }
-
-    /// Executes the program, reporting a timed
-    /// [`TraceEvent::Translate`][starlink_telemetry::TraceEvent::Translate]
-    /// to `sink`. When the sink is disabled this is exactly
-    /// [`MtlProgram::execute`] — no clock is read.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MtlProgram::execute`]; the event is emitted even for
-    /// failed executions (the duration of a failed translation is still
-    /// observable).
-    pub fn execute_traced(
-        &self,
-        ctx: &mut MtlContext<'_>,
-        sink: &dyn starlink_telemetry::TelemetrySink,
-    ) -> Result<()> {
-        if !sink.enabled() {
-            return self.execute(ctx);
-        }
-        let start = std::time::Instant::now();
-        let result = self.execute(ctx);
-        sink.record(&starlink_telemetry::TraceEvent::Translate {
-            statements: self.statements.len(),
-            nanos: start.elapsed().as_nanos() as u64,
-        });
-        result
-    }
 }
 
 fn exec_statement(statement: &Statement, ctx: &mut MtlContext<'_>) -> Result<()> {

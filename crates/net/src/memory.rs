@@ -6,7 +6,6 @@ use crate::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError
 use crate::connection::{Connection, Listener, Transport};
 use crate::endpoint::Endpoint;
 use crate::{NetError, Result};
-use starlink_telemetry::{TelemetrySink, TraceEvent};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -47,14 +46,10 @@ struct MemDuplex {
 
 /// The in-memory transport. Each instance has its own namespace: two
 /// transports never see each other's endpoints, keeping tests isolated.
-/// Attach a telemetry sink with [`MemoryTransport::with_telemetry`] to
-/// count frame bytes in/out exactly as the socket transports do, so
-/// deterministic tests exercise the same counters.
 #[derive(Clone)]
 pub struct MemoryTransport {
     registry: Arc<Mutex<Registry>>,
     faults: Arc<Mutex<FaultState>>,
-    telemetry: Arc<dyn TelemetrySink>,
 }
 
 impl Default for MemoryTransport {
@@ -72,7 +67,6 @@ impl MemoryTransport {
                 multicast: HashMap::new(),
             })),
             faults: Arc::new(Mutex::new(FaultState::default())),
-            telemetry: starlink_telemetry::noop_sink(),
         }
     }
 
@@ -81,16 +75,6 @@ impl MemoryTransport {
         let t = MemoryTransport::new();
         t.faults.lock().unwrap().plan = plan;
         t
-    }
-
-    /// Reports `TransportBytesIn`/`TransportBytesOut`/`TransportFrameIn`
-    /// events for every connection of this transport. Sends count even
-    /// when a fault plan then drops the frame — the "sender" paid the
-    /// bytes; the loss shows up as the missing `TransportFrameIn`.
-    #[must_use]
-    pub fn with_telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> MemoryTransport {
-        self.telemetry = sink;
-        self
     }
 
     /// Joins a multicast group, returning a receiver of datagrams.
@@ -169,21 +153,8 @@ struct MemConnection {
     transport: MemoryTransport,
 }
 
-impl MemConnection {
-    /// One frame delivered: in-memory frames have no framing overhead,
-    /// so raw bytes and frame bytes coincide.
-    fn record_frame_in(&self, bytes: usize) {
-        let sink = self.transport.telemetry.as_ref();
-        sink.record(&TraceEvent::TransportBytesIn { bytes });
-        sink.record(&TraceEvent::TransportFrameIn { bytes });
-    }
-}
-
 impl Connection for MemConnection {
     fn send(&mut self, data: &[u8]) -> Result<()> {
-        self.transport
-            .telemetry
-            .record(&TraceEvent::TransportBytesOut { bytes: data.len() });
         let (copies, delay) = self.transport.apply_faults(data);
         if let Some(d) = delay {
             std::thread::sleep(d);
@@ -198,17 +169,12 @@ impl Connection for MemConnection {
     }
 
     fn receive(&mut self) -> Result<Vec<u8>> {
-        let frame = self.duplex.rx.recv().map_err(|_| NetError::Closed)?;
-        self.record_frame_in(frame.len());
-        Ok(frame)
+        self.duplex.rx.recv().map_err(|_| NetError::Closed)
     }
 
     fn receive_timeout(&mut self, timeout: Duration) -> Result<Vec<u8>> {
         match self.duplex.rx.recv_timeout(timeout) {
-            Ok(f) => {
-                self.record_frame_in(f.len());
-                Ok(f)
-            }
+            Ok(f) => Ok(f),
             Err(RecvTimeoutError::Timeout) => Err(NetError::Timeout),
             Err(RecvTimeoutError::Disconnected) => Err(NetError::Closed),
         }
@@ -216,10 +182,7 @@ impl Connection for MemConnection {
 
     fn try_receive(&mut self) -> Result<Option<Vec<u8>>> {
         match self.duplex.rx.try_recv() {
-            Ok(f) => {
-                self.record_frame_in(f.len());
-                Ok(Some(f))
-            }
+            Ok(f) => Ok(Some(f)),
             Err(TryRecvError::Empty) => Ok(None),
             Err(TryRecvError::Disconnected) => Err(NetError::Closed),
         }
@@ -425,30 +388,6 @@ mod tests {
         let _client = t.connect(&ep).unwrap();
         assert!(listener.try_accept().unwrap().is_some());
         assert!(listener.try_accept().unwrap().is_none());
-    }
-
-    #[test]
-    fn bytes_and_frames_are_counted_with_faults_visible() {
-        let recorder = Arc::new(starlink_telemetry::Recorder::new());
-        let t = MemoryTransport::with_faults(FaultPlan {
-            drop_nth: vec![1],
-            ..FaultPlan::default()
-        })
-        .with_telemetry(recorder.clone());
-        let ep = Endpoint::memory("svc");
-        let listener = t.listen(&ep).unwrap();
-        let mut client = t.connect(&ep).unwrap();
-        client.send(b"lost!").unwrap();
-        client.send(b"kept!").unwrap();
-        let mut server = listener.accept().unwrap();
-        assert_eq!(server.receive().unwrap(), b"kept!");
-
-        let snap = TelemetrySink::snapshot(recorder.as_ref()).unwrap();
-        // Both sends pay bytes out; the dropped frame never lands, so
-        // exactly one frame (and its bytes) arrives.
-        assert_eq!(snap.counter("starlink_transport_bytes_out_total"), 10);
-        assert_eq!(snap.counter("starlink_transport_bytes_in_total"), 5);
-        assert_eq!(snap.counter("starlink_transport_frames_in_total"), 1);
     }
 
     #[test]

@@ -2,7 +2,6 @@ use crate::connection::{Connection, Listener, Transport};
 use crate::endpoint::Endpoint;
 use crate::framing::{Framing, LengthPrefixFraming};
 use crate::{NetError, Result};
-use starlink_telemetry::{TelemetrySink, TraceEvent};
 use std::io::{Read, Write};
 use std::net::{TcpListener as StdListener, TcpStream};
 use std::sync::Arc;
@@ -12,13 +11,9 @@ use std::time::Duration;
 ///
 /// The default framing is the 4-byte length prefix; construct with
 /// [`TcpTransport::with_framing`] (e.g. HTTP framing) to carry
-/// self-delimiting protocols verbatim. Attach a telemetry sink with
-/// [`TcpTransport::with_telemetry`] to count raw transport bytes
-/// (framing overhead included) and extracted frames on every connection
-/// the transport creates or accepts.
+/// self-delimiting protocols verbatim.
 pub struct TcpTransport {
     framing: Arc<dyn Framing>,
-    telemetry: Arc<dyn TelemetrySink>,
 }
 
 impl Default for TcpTransport {
@@ -32,31 +27,18 @@ impl TcpTransport {
     pub fn new() -> TcpTransport {
         TcpTransport {
             framing: Arc::new(LengthPrefixFraming::default()),
-            telemetry: starlink_telemetry::noop_sink(),
         }
     }
 
     /// TCP with custom framing.
     pub fn with_framing(framing: Arc<dyn Framing>) -> TcpTransport {
-        TcpTransport {
-            framing,
-            telemetry: starlink_telemetry::noop_sink(),
-        }
-    }
-
-    /// Reports `TransportBytesIn`/`TransportBytesOut`/`TransportFrameIn`
-    /// events for every connection this transport creates or accepts.
-    #[must_use]
-    pub fn with_telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> TcpTransport {
-        self.telemetry = sink;
-        self
+        TcpTransport { framing }
     }
 }
 
 struct TcpConnection {
     stream: TcpStream,
     framing: Arc<dyn Framing>,
-    telemetry: Arc<dyn TelemetrySink>,
     buffer: Vec<u8>,
     /// Scratch buffer for wrapping outgoing frames; its capacity is
     /// reused across `send` calls so steady-state sends don't allocate.
@@ -65,11 +47,7 @@ struct TcpConnection {
 }
 
 impl TcpConnection {
-    fn new(
-        stream: TcpStream,
-        framing: Arc<dyn Framing>,
-        telemetry: Arc<dyn TelemetrySink>,
-    ) -> TcpConnection {
+    fn new(stream: TcpStream, framing: Arc<dyn Framing>) -> TcpConnection {
         let peer = stream
             .peer_addr()
             .map(|a| a.to_string())
@@ -77,7 +55,6 @@ impl TcpConnection {
         TcpConnection {
             stream,
             framing,
-            telemetry,
             buffer: Vec::new(),
             write_buf: Vec::new(),
             peer,
@@ -94,19 +71,12 @@ impl TcpConnection {
             if n == 0 {
                 return Err(NetError::Closed);
             }
-            self.telemetry
-                .record(&TraceEvent::TransportBytesIn { bytes: n });
             self.buffer.extend_from_slice(&chunk[..n]);
         }
     }
 
     fn extract_buffered(&mut self) -> Result<Option<Vec<u8>>> {
-        let frame = self.framing.extract_from(&mut self.buffer)?;
-        if let Some(frame) = &frame {
-            self.telemetry
-                .record(&TraceEvent::TransportFrameIn { bytes: frame.len() });
-        }
-        Ok(frame)
+        self.framing.extract_from(&mut self.buffer)
     }
 }
 
@@ -118,10 +88,6 @@ impl Connection for TcpConnection {
             .stream
             .write_all(&wire)
             .and_then(|()| self.stream.flush());
-        if r.is_ok() {
-            self.telemetry
-                .record(&TraceEvent::TransportBytesOut { bytes: wire.len() });
-        }
         self.write_buf = wire;
         r?;
         Ok(())
@@ -151,11 +117,7 @@ impl Connection for TcpConnection {
             let mut chunk = [0u8; 8192];
             match self.stream.read(&mut chunk) {
                 Ok(0) => break Err(NetError::Closed),
-                Ok(n) => {
-                    self.telemetry
-                        .record(&TraceEvent::TransportBytesIn { bytes: n });
-                    self.buffer.extend_from_slice(&chunk[..n]);
-                }
+                Ok(n) => self.buffer.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => break Err(e.into()),
@@ -176,7 +138,6 @@ impl Connection for TcpConnection {
 struct TcpListenerWrapper {
     listener: StdListener,
     framing: Arc<dyn Framing>,
-    telemetry: Arc<dyn TelemetrySink>,
     endpoint: Endpoint,
 }
 
@@ -185,11 +146,7 @@ impl Listener for TcpListenerWrapper {
         let (stream, _) = self.listener.accept()?;
         stream.set_nodelay(true).ok();
         stream.set_nonblocking(false).ok();
-        Ok(Box::new(TcpConnection::new(
-            stream,
-            self.framing.clone(),
-            self.telemetry.clone(),
-        )))
+        Ok(Box::new(TcpConnection::new(stream, self.framing.clone())))
     }
 
     fn try_accept(&self) -> Result<Option<Box<dyn Connection>>> {
@@ -205,7 +162,6 @@ impl Listener for TcpListenerWrapper {
                 Ok(Some(Box::new(TcpConnection::new(
                     stream,
                     self.framing.clone(),
-                    self.telemetry.clone(),
                 ))))
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
@@ -229,7 +185,6 @@ impl Transport for TcpTransport {
         Ok(Box::new(TcpListenerWrapper {
             listener,
             framing: self.framing.clone(),
-            telemetry: self.telemetry.clone(),
             endpoint: Endpoint::tcp(actual.ip().to_string(), actual.port()),
         }))
     }
@@ -237,11 +192,7 @@ impl Transport for TcpTransport {
     fn connect(&self, endpoint: &Endpoint) -> Result<Box<dyn Connection>> {
         let stream = TcpStream::connect(endpoint.authority())?;
         stream.set_nodelay(true).ok();
-        Ok(Box::new(TcpConnection::new(
-            stream,
-            self.framing.clone(),
-            self.telemetry.clone(),
-        )))
+        Ok(Box::new(TcpConnection::new(stream, self.framing.clone())))
     }
 }
 
@@ -348,30 +299,6 @@ mod tests {
             }
         }
         assert!(accepted.is_some());
-    }
-
-    #[test]
-    fn transport_bytes_and_frames_are_counted() {
-        let recorder = Arc::new(starlink_telemetry::Recorder::new());
-        let t = TcpTransport::new().with_telemetry(recorder.clone());
-        let listener = t.listen(&Endpoint::tcp("127.0.0.1", 0)).unwrap();
-        let ep = listener.local_endpoint();
-        let handle = std::thread::spawn(move || {
-            let mut server = listener.accept().unwrap();
-            let req = server.receive().unwrap();
-            server.send(&req).unwrap();
-        });
-        let mut client = t.connect(&ep).unwrap();
-        client.send(b"hello").unwrap();
-        assert_eq!(client.receive().unwrap(), b"hello");
-        handle.join().unwrap();
-
-        let snap = TelemetrySink::snapshot(recorder.as_ref()).unwrap();
-        // Client + server each sent one 5-byte payload + 4-byte length
-        // prefix, and each read the peer's 9 wire bytes.
-        assert_eq!(snap.counter("starlink_transport_bytes_out_total"), 18);
-        assert_eq!(snap.counter("starlink_transport_bytes_in_total"), 18);
-        assert_eq!(snap.counter("starlink_transport_frames_in_total"), 2);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 use crate::connection::{Connection, Listener, Transport};
 use crate::endpoint::Endpoint;
 use crate::{NetError, Result};
-use starlink_telemetry::{TelemetrySink, TraceEvent};
 use std::net::{SocketAddr, UdpSocket};
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,57 +11,27 @@ use std::time::Duration;
 /// [`Listener::accept`] waits for the first datagram from a new peer and
 /// returns a connection bound to that peer (sharing the server socket),
 /// which is the natural shape for the request/response discovery
-/// protocols Starlink bridges over UDP. Attach a telemetry sink with
-/// [`UdpTransport::with_telemetry`] to count datagram bytes in/out; each
-/// received datagram also counts as one extracted frame.
-#[derive(Clone)]
-pub struct UdpTransport {
-    telemetry: Arc<dyn TelemetrySink>,
-}
-
-impl Default for UdpTransport {
-    fn default() -> Self {
-        UdpTransport::new()
-    }
-}
+/// protocols Starlink bridges over UDP.
+#[derive(Clone, Default)]
+pub struct UdpTransport;
 
 impl UdpTransport {
     /// Creates the transport.
     pub fn new() -> UdpTransport {
-        UdpTransport {
-            telemetry: starlink_telemetry::noop_sink(),
-        }
-    }
-
-    /// Reports `TransportBytesIn`/`TransportBytesOut`/`TransportFrameIn`
-    /// events for every connection this transport creates or accepts.
-    #[must_use]
-    pub fn with_telemetry(mut self, sink: Arc<dyn TelemetrySink>) -> UdpTransport {
-        self.telemetry = sink;
-        self
+        UdpTransport
     }
 }
 
 const MAX_DATAGRAM: usize = 64 * 1024;
 
-/// One datagram landed: a datagram is both raw transport bytes and a
-/// complete frame.
-fn record_datagram_in(sink: &dyn TelemetrySink, bytes: usize) {
-    sink.record(&TraceEvent::TransportBytesIn { bytes });
-    sink.record(&TraceEvent::TransportFrameIn { bytes });
-}
-
 struct UdpClientConnection {
     socket: UdpSocket,
     peer: SocketAddr,
-    telemetry: Arc<dyn TelemetrySink>,
 }
 
 impl Connection for UdpClientConnection {
     fn send(&mut self, data: &[u8]) -> Result<()> {
         self.socket.send_to(data, self.peer)?;
-        self.telemetry
-            .record(&TraceEvent::TransportBytesOut { bytes: data.len() });
         Ok(())
     }
 
@@ -71,7 +40,6 @@ impl Connection for UdpClientConnection {
         let mut buf = vec![0u8; MAX_DATAGRAM];
         let (n, _) = self.socket.recv_from(&mut buf)?;
         buf.truncate(n);
-        record_datagram_in(self.telemetry.as_ref(), n);
         Ok(buf)
     }
 
@@ -82,18 +50,11 @@ impl Connection for UdpClientConnection {
         let _ = self.socket.set_read_timeout(None);
         let (n, _) = r?;
         buf.truncate(n);
-        record_datagram_in(self.telemetry.as_ref(), n);
         Ok(buf)
     }
 
     fn try_receive(&mut self) -> Result<Option<Vec<u8>>> {
-        match try_recv_from(&self.socket)? {
-            Some((data, _)) => {
-                record_datagram_in(self.telemetry.as_ref(), data.len());
-                Ok(Some(data))
-            }
-            None => Ok(None),
-        }
+        Ok(try_recv_from(&self.socket)?.map(|(data, _)| data))
     }
 
     fn peer(&self) -> String {
@@ -121,19 +82,15 @@ struct UdpServerConnection {
     socket: Arc<UdpSocket>,
     peer: SocketAddr,
     pending: Option<Vec<u8>>,
-    telemetry: Arc<dyn TelemetrySink>,
 }
 
 impl Connection for UdpServerConnection {
     fn send(&mut self, data: &[u8]) -> Result<()> {
         self.socket.send_to(data, self.peer)?;
-        self.telemetry
-            .record(&TraceEvent::TransportBytesOut { bytes: data.len() });
         Ok(())
     }
 
     fn receive(&mut self) -> Result<Vec<u8>> {
-        // The accepting datagram was already counted by the listener.
         if let Some(first) = self.pending.take() {
             return Ok(first);
         }
@@ -143,7 +100,6 @@ impl Connection for UdpServerConnection {
             let (n, from) = self.socket.recv_from(&mut buf)?;
             if from == self.peer {
                 buf.truncate(n);
-                record_datagram_in(self.telemetry.as_ref(), n);
                 return Ok(buf);
             }
             // Datagram from another peer: drop (single-peer connection).
@@ -163,7 +119,6 @@ impl Connection for UdpServerConnection {
             return Err(NetError::Timeout);
         }
         buf.truncate(n);
-        record_datagram_in(self.telemetry.as_ref(), n);
         Ok(buf)
     }
 
@@ -175,7 +130,6 @@ impl Connection for UdpServerConnection {
         // receive path of this single-peer connection.
         while let Some((data, from)) = try_recv_from(&self.socket)? {
             if from == self.peer {
-                record_datagram_in(self.telemetry.as_ref(), data.len());
                 return Ok(Some(data));
             }
         }
@@ -190,7 +144,6 @@ impl Connection for UdpServerConnection {
 struct UdpListenerWrapper {
     socket: Arc<UdpSocket>,
     endpoint: Endpoint,
-    telemetry: Arc<dyn TelemetrySink>,
 }
 
 impl Listener for UdpListenerWrapper {
@@ -199,28 +152,21 @@ impl Listener for UdpListenerWrapper {
         self.socket.set_read_timeout(None)?;
         let (n, from) = self.socket.recv_from(&mut buf)?;
         buf.truncate(n);
-        record_datagram_in(self.telemetry.as_ref(), n);
         Ok(Box::new(UdpServerConnection {
             socket: self.socket.clone(),
             peer: from,
             pending: Some(buf),
-            telemetry: self.telemetry.clone(),
         }))
     }
 
     fn try_accept(&self) -> Result<Option<Box<dyn Connection>>> {
-        match try_recv_from(&self.socket)? {
-            Some((data, from)) => {
-                record_datagram_in(self.telemetry.as_ref(), data.len());
-                Ok(Some(Box::new(UdpServerConnection {
-                    socket: self.socket.clone(),
-                    peer: from,
-                    pending: Some(data),
-                    telemetry: self.telemetry.clone(),
-                })))
-            }
-            None => Ok(None),
-        }
+        Ok(try_recv_from(&self.socket)?.map(|(data, from)| {
+            Box::new(UdpServerConnection {
+                socket: self.socket.clone(),
+                peer: from,
+                pending: Some(data),
+            }) as Box<dyn Connection>
+        }))
     }
 
     fn local_endpoint(&self) -> Endpoint {
@@ -239,7 +185,6 @@ impl Transport for UdpTransport {
         Ok(Box::new(UdpListenerWrapper {
             socket: Arc::new(socket),
             endpoint: Endpoint::new("udp", actual.ip().to_string(), Some(actual.port())),
-            telemetry: self.telemetry.clone(),
         }))
     }
 
@@ -252,11 +197,7 @@ impl Transport for UdpTransport {
                 text: endpoint.to_string(),
                 message: format!("{e}"),
             })?;
-        Ok(Box::new(UdpClientConnection {
-            socket,
-            peer,
-            telemetry: self.telemetry.clone(),
-        }))
+        Ok(Box::new(UdpClientConnection { socket, peer }))
     }
 }
 
@@ -322,33 +263,6 @@ mod tests {
             client.receive_timeout(Duration::from_secs(5)).unwrap(),
             b"pong"
         );
-    }
-
-    #[test]
-    fn datagram_bytes_and_frames_are_counted() {
-        let recorder = Arc::new(starlink_telemetry::Recorder::new());
-        let t = UdpTransport::new().with_telemetry(recorder.clone());
-        let listener = t.listen(&"udp://127.0.0.1:0".parse().unwrap()).unwrap();
-        let ep = listener.local_endpoint();
-        let handle = std::thread::spawn(move || {
-            let mut server = listener.accept().unwrap();
-            let req = server.receive().unwrap();
-            server.send(&req).unwrap();
-        });
-        let mut client = t.connect(&ep).unwrap();
-        client.send(b"hello").unwrap();
-        assert_eq!(
-            client.receive_timeout(Duration::from_secs(5)).unwrap(),
-            b"hello"
-        );
-        handle.join().unwrap();
-
-        let snap = TelemetrySink::snapshot(recorder.as_ref()).unwrap();
-        // One 5-byte datagram each way; no framing overhead on UDP, and
-        // every datagram counts as one frame.
-        assert_eq!(snap.counter("starlink_transport_bytes_out_total"), 10);
-        assert_eq!(snap.counter("starlink_transport_bytes_in_total"), 10);
-        assert_eq!(snap.counter("starlink_transport_frames_in_total"), 2);
     }
 
     #[test]

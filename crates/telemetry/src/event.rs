@@ -49,10 +49,95 @@ impl TransitionKind {
     }
 }
 
+/// A timed layer of one mediated traversal: the paper's §6 cost split
+/// (parse, translate, compose) plus the binding steps and the wait for
+/// the peer, under one `session` root per traversal.
+///
+/// Leaf layers tile the root: each layer boundary is one clock read that
+/// ends one layer and starts the next, so from its first leaf on a
+/// traversal's leaf spans cover its `session` span without gaps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layer {
+    /// One automaton traversal, from (re)start to finish, failure or
+    /// abandonment (the root span).
+    Session,
+    /// Awaiting a message from the peer on a color: the client's next
+    /// request, or a service's reply (the service round trip).
+    Wait,
+    /// MDL parse of one received wire message.
+    Parse,
+    /// Binding rules lifting a protocol message to its application
+    /// message.
+    Unbind,
+    /// A γ-transition's MTL translation.
+    Gamma,
+    /// Binding rules lowering an application message to its protocol
+    /// message.
+    Bind,
+    /// MDL compose of one outgoing wire message.
+    Compose,
+}
+
+impl Layer {
+    /// Every layer in declaration order: the root first, then the
+    /// leaves in the order a request meets them.
+    pub const ALL: [Layer; 7] = [
+        Layer::Session,
+        Layer::Wait,
+        Layer::Parse,
+        Layer::Unbind,
+        Layer::Gamma,
+        Layer::Bind,
+        Layer::Compose,
+    ];
+
+    /// Stable label used as span name and in metric names.
+    pub fn label(self) -> &'static str {
+        match self {
+            Layer::Session => "session",
+            Layer::Wait => "wait",
+            Layer::Parse => "parse",
+            Layer::Unbind => "unbind",
+            Layer::Gamma => "gamma",
+            Layer::Bind => "bind",
+            Layer::Compose => "compose",
+        }
+    }
+}
+
+/// Why a traversal ended without finishing or failing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AbandonReason {
+    /// The peer closed the connection, or the host stopped.
+    Closed,
+    /// The driver dropped the session without a result.
+    Dropped,
+    /// A receive deadline expired and the traversal restarted.
+    Timeout,
+}
+
+impl AbandonReason {
+    /// Every reason, in declaration (and label) order.
+    pub const ALL: [AbandonReason; 3] = [
+        AbandonReason::Closed,
+        AbandonReason::Dropped,
+        AbandonReason::Timeout,
+    ];
+
+    /// Stable label used in metric exposition.
+    pub fn label(self) -> &'static str {
+        match self {
+            AbandonReason::Timeout => "timeout",
+            AbandonReason::Closed => "closed",
+            AbandonReason::Dropped => "dropped",
+        }
+    }
+}
+
 /// One structured trace event, emitted by an instrumented layer into a
 /// [`crate::TelemetrySink`].
 ///
-/// Durations are nanoseconds (`u64` wraps after ~584 years of one span).
+/// [`TraceEvent::SpanClosed`] is the only event carrying a duration.
 /// The taxonomy is `#[non_exhaustive]`: sinks must tolerate events they
 /// do not know (typically by ignoring them).
 #[derive(Debug, Clone, Copy)]
@@ -75,6 +160,12 @@ pub enum TraceEvent<'a> {
         /// `"net"`, `"unexpected-message"`).
         stage: &'a str,
     },
+    /// A traversal ended without finishing or failing. Every started
+    /// traversal ends exactly once: finished, failed or abandoned.
+    SessionAbandoned {
+        /// Why it ended.
+        reason: AbandonReason,
+    },
     /// The engine crossed an automaton transition.
     Transition {
         /// Source state.
@@ -88,26 +179,6 @@ pub enum TraceEvent<'a> {
         /// coloring).
         color: u8,
     },
-    /// A γ-transition's MTL program ran to completion.
-    GammaExecuted {
-        /// Source state of the γ-transition.
-        from: &'a str,
-        /// Target state of the γ-transition.
-        to: &'a str,
-        /// Statements in the translation program.
-        statements: usize,
-        /// Wall-clock execution time in nanoseconds.
-        nanos: u64,
-    },
-    /// An MTL program execution completed (emitted by the interpreter
-    /// itself; γ-executions additionally emit [`TraceEvent::GammaExecuted`]
-    /// from the engine).
-    Translate {
-        /// Statements executed (top-level).
-        statements: usize,
-        /// Wall-clock execution time in nanoseconds.
-        nanos: u64,
-    },
     /// A conformance monitor rejected an observed action.
     MonitorViolation {
         /// The monitor's current state.
@@ -119,24 +190,6 @@ pub enum TraceEvent<'a> {
     DispatchProbe {
         /// Hit, miss, or fallback to try-all.
         outcome: ProbeOutcome,
-    },
-    /// A wire message parsed successfully.
-    Parse {
-        /// The message variant that matched.
-        variant: &'a str,
-        /// Wire size in bytes.
-        wire_bytes: usize,
-        /// Wall-clock parse time in nanoseconds.
-        nanos: u64,
-    },
-    /// An abstract message composed to wire bytes.
-    Compose {
-        /// The message variant composed.
-        variant: &'a str,
-        /// Wire size in bytes.
-        wire_bytes: usize,
-        /// Wall-clock compose time in nanoseconds.
-        nanos: u64,
     },
     /// A framed message arrived at the session engine.
     WireIn {
@@ -160,21 +213,6 @@ pub enum TraceEvent<'a> {
     ServiceConnected {
         /// The service color connected.
         color: u8,
-    },
-    /// Raw bytes read from a transport (framing overhead included).
-    TransportBytesIn {
-        /// Bytes read.
-        bytes: usize,
-    },
-    /// Raw bytes written to a transport (framing overhead included).
-    TransportBytesOut {
-        /// Bytes written.
-        bytes: usize,
-    },
-    /// A framing layer extracted one complete frame from the stream.
-    TransportFrameIn {
-        /// Frame payload size in bytes.
-        bytes: usize,
     },
     /// A host accepted a client connection.
     SessionAccepted,
@@ -212,26 +250,24 @@ pub enum TraceEvent<'a> {
         /// Stalled session count.
         count: usize,
     },
-    /// The engine left an automaton state, reporting how long the
-    /// traversal dwelt in it (state entry to state exit).
-    StateDwell {
-        /// The state that was exited.
-        state: &'a str,
-        /// Dwell time in nanoseconds.
-        nanos: u64,
-    },
-    /// A tracing span opened (emitted via
-    /// [`crate::SessionTracer::open`]; the span/parent ids travel in the
-    /// accompanying [`crate::TraceMeta`], not the event).
+    /// A layer span opened. Only recorded through a
+    /// [`crate::SessionTracer`] (the span/parent ids travel in the
+    /// accompanying [`crate::TraceMeta`]); aggregate sinks need only the
+    /// close.
     SpanOpened {
-        /// Span name (stable, kebab-case: `"session"`, `"receive"`,
-        /// `"gamma"`, `"send"`).
-        name: &'a str,
+        /// The layer.
+        layer: Layer,
+        /// The automaton color the layer works on.
+        color: u8,
     },
-    /// A tracing span closed.
+    /// A layer span closed: the one timed event.
     SpanClosed {
-        /// Name the span was opened with.
-        name: &'a str,
+        /// The layer.
+        layer: Layer,
+        /// The automaton color the layer worked on.
+        color: u8,
+        /// Wall-clock duration in nanoseconds.
+        nanos: u64,
     },
     /// A capture of an abstract message crossing the mediator. Only
     /// emitted when a sink reports

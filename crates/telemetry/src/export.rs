@@ -2,8 +2,8 @@
 //!
 //! The JSON exporter emits the subset of the Trace Event Format that
 //! `chrome://tracing` and Perfetto load: an object with a `traceEvents`
-//! array of duration (`B`/`E`), complete (`X`) and instant (`i`)
-//! events, timestamps in microseconds. Thread id is the session trace
+//! array of duration (`B`/`E`) and instant (`i`) events, timestamps in
+//! microseconds. Thread id is the session trace
 //! id, so one host dump shows each mediated session as its own track;
 //! timestamps are relative to each session's tracer epoch (its accept
 //! time), not to a shared clock.
@@ -29,12 +29,10 @@ pub struct ChromeEvent {
     pub name: String,
     /// Category list (comma-separated by convention).
     pub cat: String,
-    /// Phase: `B` (begin), `E` (end), `X` (complete), `i` (instant).
+    /// Phase: `B` (begin), `E` (end), `i` (instant).
     pub ph: char,
     /// Timestamp in microseconds.
     pub ts_us: f64,
-    /// Duration in microseconds (`X` events only).
-    pub dur_us: Option<f64>,
     /// Process id.
     pub pid: u64,
     /// Thread id (the session trace id).
@@ -45,37 +43,28 @@ pub struct ChromeEvent {
 
 /// Lowers one completed session trace into Chrome trace events.
 ///
-/// Span opens/closes become `B`/`E` pairs, timed phases (parse, γ,
-/// compose, translate) become `X` complete events positioned at their
-/// start, point events become `i` instants.
+/// Span opens/closes become `B`/`E` pairs and point events become `i`
+/// instants.
 pub fn chrome_events(trace: &SessionTrace) -> Vec<ChromeEvent> {
     let tid = trace.session.0;
     let mut events = Vec::with_capacity(trace.records.len());
     for record in &trace.records {
-        let ts_ns = record.meta.ts_ns;
         let mut args = Vec::new();
         if !record.detail.is_empty() {
             args.push(("detail".to_owned(), record.detail.clone()));
         }
         args.push(("span".to_owned(), record.meta.span.0.to_string()));
         args.push(("parent".to_owned(), record.meta.parent.0.to_string()));
-        let (ph, ts_ns, dur_us) = match record.kind {
-            TraceRecordKind::SpanOpen => ('B', ts_ns, None),
-            TraceRecordKind::SpanClose => ('E', ts_ns, None),
-            TraceRecordKind::Instant => ('i', ts_ns, None),
-            TraceRecordKind::Timed(dur_ns) => (
-                // The event is emitted at completion; rewind to the start.
-                'X',
-                ts_ns.saturating_sub(dur_ns),
-                Some(dur_ns as f64 / 1_000.0),
-            ),
+        let ph = match record.kind {
+            TraceRecordKind::SpanOpen => 'B',
+            TraceRecordKind::SpanClose => 'E',
+            TraceRecordKind::Instant => 'i',
         };
         events.push(ChromeEvent {
             name: record.name.clone(),
             cat: EXPORT_CATEGORY.to_owned(),
             ph,
-            ts_us: ts_ns as f64 / 1_000.0,
-            dur_us,
+            ts_us: record.meta.ts_ns as f64 / 1_000.0,
             pid: EXPORT_PID,
             tid,
             args,
@@ -118,9 +107,6 @@ pub fn render_chrome_json(events: &[ChromeEvent]) -> String {
             "\",\"ph\":\"{}\",\"ts\":{:.3},\"pid\":{},\"tid\":{}",
             ev.ph, ev.ts_us, ev.pid, ev.tid
         );
-        if let Some(dur) = ev.dur_us {
-            let _ = write!(out, ",\"dur\":{dur:.3}");
-        }
         out.push_str(",\"args\":{");
         for (j, (key, value)) in ev.args.iter().enumerate() {
             if j > 0 {
@@ -419,7 +405,6 @@ pub fn parse_chrome_trace(text: &str) -> Result<Vec<ChromeEvent>, String> {
                 .to_owned(),
             ph,
             ts_us: num("ts")?,
-            dur_us: item.get("dur").and_then(Json::as_f64),
             pid: num("pid")? as u64,
             tid: num("tid")? as u64,
             args,
@@ -441,8 +426,8 @@ pub struct TraceStats {
 
 /// Parses a Chrome trace document and checks its structural invariants:
 /// every `E` closes the most recent open `B` with the same name on its
-/// track, no track ends with open spans, and `X` events carry a
-/// duration. Returns summary stats on success.
+/// track, no track ends with open spans, and every other event is an `i`
+/// instant. Returns summary stats on success.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
     let events = parse_chrome_trace(text)?;
     let mut stacks: HashMap<(u64, u64), Vec<String>> = HashMap::new();
@@ -462,12 +447,6 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
                     ));
                 }
                 span_pairs += 1;
-            }
-            'X' => {
-                if ev.dur_us.is_none() {
-                    return Err(format!("event {i}: 'X' event without \"dur\""));
-                }
-                stacks.entry(track).or_default();
             }
             'i' => {
                 stacks.entry(track).or_default();
@@ -497,57 +476,47 @@ fn format_us(us: f64) -> String {
     }
 }
 
-/// Renders a plain-text timeline of one session trace: one line per
-/// record, indented by span depth, with session-relative timestamps and
-/// durations for timed phases.
-pub fn render_timeline(trace: &SessionTrace) -> String {
+/// Renders Chrome events as a plain-text timeline: one section per
+/// session track, one line per event indented by span depth, with
+/// session-relative timestamps, each event's detail, and each span's
+/// duration on its closing line.
+pub fn render_timeline(events: &[ChromeEvent]) -> String {
+    let mut tids: Vec<u64> = events.iter().map(|e| e.tid).collect();
+    tids.sort_unstable();
+    tids.dedup();
     let mut out = String::new();
-    let _ = writeln!(out, "session {}", trace.session.0);
-    let mut depth = 0usize;
-    for record in &trace.records {
-        let ts_us = record.meta.ts_ns as f64 / 1_000.0;
-        match record.kind {
-            TraceRecordKind::SpanOpen => {
-                let _ = writeln!(
-                    out,
-                    "{:>11}  {}▶ {}",
-                    format_us(ts_us),
-                    "  ".repeat(depth),
-                    record.name
-                );
-                depth += 1;
-            }
-            TraceRecordKind::SpanClose => {
-                depth = depth.saturating_sub(1);
-                let _ = writeln!(
-                    out,
-                    "{:>11}  {}◀ {}",
-                    format_us(ts_us),
-                    "  ".repeat(depth),
-                    record.name
-                );
-            }
-            TraceRecordKind::Instant => {
-                let _ = writeln!(
-                    out,
-                    "{:>11}  {}· {} {}",
-                    format_us(ts_us),
-                    "  ".repeat(depth),
-                    record.name,
-                    record.detail
-                );
-            }
-            TraceRecordKind::Timed(dur_ns) => {
-                let _ = writeln!(
-                    out,
-                    "{:>11}  {}■ {} {} [{}]",
-                    format_us(ts_us),
-                    "  ".repeat(depth),
-                    record.name,
-                    record.detail,
-                    format_us(dur_ns as f64 / 1_000.0)
-                );
-            }
+    for tid in tids {
+        let _ = writeln!(out, "session {tid}");
+        // Begin timestamps of the enclosing spans; its length is the depth.
+        let mut open: Vec<f64> = Vec::new();
+        for ev in events.iter().filter(|e| e.tid == tid) {
+            let detail = ev
+                .args
+                .iter()
+                .find(|(key, _)| key == "detail")
+                .map_or(String::new(), |(_, value)| value.clone());
+            let (marker, depth, text) = match ev.ph {
+                'B' => {
+                    open.push(ev.ts_us);
+                    ("▶", open.len() - 1, detail)
+                }
+                'E' => {
+                    let begin = open.pop().unwrap_or(ev.ts_us);
+                    (
+                        "◀",
+                        open.len(),
+                        format!("[{}]", format_us(ev.ts_us - begin)),
+                    )
+                }
+                _ => ("·", open.len(), detail),
+            };
+            let _ = writeln!(
+                out,
+                "{:>11}  {}{marker} {} {text}",
+                format_us(ev.ts_us),
+                "  ".repeat(depth),
+                ev.name
+            );
         }
     }
     out
@@ -556,23 +525,18 @@ pub fn render_timeline(trace: &SessionTrace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceEvent;
+    use crate::event::{Layer, TraceEvent};
     use crate::span::{SessionTracer, TraceBuffer};
+    use std::time::{Duration, Instant};
 
+    /// A session root holding one 2 µs parse span and one instant.
     fn sample_trace() -> SessionTrace {
         let buffer = TraceBuffer::new();
         let tracer = SessionTracer::new();
-        let root = tracer.open(&buffer, "session");
-        let recv = tracer.open(&buffer, "receive");
-        tracer.record(
-            &buffer,
-            &TraceEvent::Parse {
-                variant: "AddRequest",
-                wire_bytes: 48,
-                nanos: 2_000,
-            },
-        );
-        tracer.close(&buffer, recv);
+        let t0 = Instant::now();
+        let root = tracer.open(&buffer, Layer::Session, 1, t0);
+        let parse = tracer.open(&buffer, Layer::Parse, 1, t0);
+        tracer.close(&buffer, parse, t0 + Duration::from_micros(2), 2_000);
         tracer.record(
             &buffer,
             &TraceEvent::WireOut {
@@ -580,7 +544,7 @@ mod tests {
                 bytes: 40,
             },
         );
-        tracer.close(&buffer, root);
+        tracer.close(&buffer, root, t0 + Duration::from_micros(5), 5_000);
         buffer.latest().expect("completed trace")
     }
 
@@ -628,7 +592,6 @@ mod tests {
             cat: "c".to_owned(),
             ph: 'i',
             ts_us: 1.5,
-            dur_us: None,
             pid: 1,
             tid: 9,
             args: vec![("k\n".to_owned(), "v\u{0001}".to_owned())],
@@ -640,27 +603,29 @@ mod tests {
     }
 
     #[test]
-    fn timed_records_become_complete_events_at_their_start() {
+    fn spans_export_as_begin_end_pairs_at_their_instants() {
         let trace = sample_trace();
         let events = chrome_events(&trace);
-        let parse = events.iter().find(|e| e.name == "parse").unwrap();
-        assert_eq!(parse.ph, 'X');
-        assert_eq!(parse.dur_us, Some(2.0));
-        let parse_record = trace.records.iter().find(|r| r.name == "parse").unwrap();
-        // The complete event is rewound from the record's timestamp (the
-        // operation's *end*) by its duration, clamping at the epoch.
-        let start_us = parse_record.meta.ts_ns.saturating_sub(2_000) as f64 / 1_000.0;
-        assert!((parse.ts_us - start_us).abs() < 0.002);
+        assert!(events.iter().all(|e| matches!(e.ph, 'B' | 'E' | 'i')));
+        let at = |ph: char| {
+            events
+                .iter()
+                .find(|e| e.name == "parse" && e.ph == ph)
+                .map(|e| e.ts_us)
+                .unwrap()
+        };
+        assert!((at('E') - at('B') - 2.0).abs() < 0.002);
     }
 
     #[test]
     fn timeline_renders_depth_and_durations() {
         let trace = sample_trace();
-        let text = render_timeline(&trace);
+        let text = render_timeline(&chrome_events(&trace));
         assert!(text.starts_with(&format!("session {}\n", trace.session.0)));
-        assert!(text.contains("▶ session"));
-        assert!(text.contains("  ▶ receive"));
-        assert!(text.contains("■ parse"));
-        assert!(text.contains("◀ session"));
+        assert!(text.contains("▶ session color 1"));
+        assert!(text.contains("  ▶ parse color 1"));
+        assert!(text.contains("  ◀ parse [2.0µs]"));
+        assert!(text.contains("  · wire-out color 2, 40 B"));
+        assert!(text.contains("◀ session [5.0µs]"));
     }
 }

@@ -72,7 +72,8 @@ pub struct HealthCheck {
     pub name: String,
     /// This check's verdict.
     pub status: HealthStatus,
-    /// One line of context (never contains a newline).
+    /// One line naming the check's state (never a live count; never
+    /// contains a newline).
     pub reason: String,
 }
 
@@ -93,9 +94,11 @@ pub struct PairHealth {
 /// `degraded` threshold degrades, at or above `unhealthy` is unhealthy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthThresholds {
-    /// Windowed failed/started ratio that degrades the pair.
+    /// Windowed failed / (finished + failed) ratio that degrades the
+    /// pair.
     pub failure_ratio_degraded: f64,
-    /// Windowed failed/started ratio that makes the pair unhealthy.
+    /// Windowed failed / (finished + failed) ratio that makes the pair
+    /// unhealthy.
     pub failure_ratio_unhealthy: f64,
     /// Windowed accept-error count that degrades the pair.
     pub accept_errors_degraded: u64,
@@ -144,108 +147,76 @@ pub struct HealthInputs {
     pub stalled_now: u64,
 }
 
-fn grade(value: f64, degraded: f64, unhealthy: f64) -> HealthStatus {
-    if value >= unhealthy {
-        HealthStatus::Unhealthy
+/// Grades `value` against its thresholds. The reason names only what is
+/// measured and where it stands, never a live count, so the
+/// `starlink_health_check` label set stays fixed while counts move (the
+/// counts ride in their own families).
+fn check(name: &str, measure: &str, value: f64, degraded: f64, unhealthy: f64) -> HealthCheck {
+    let (status, standing) = if value >= unhealthy {
+        (HealthStatus::Unhealthy, "at or above unhealthy threshold")
     } else if value >= degraded {
-        HealthStatus::Degraded
+        (HealthStatus::Degraded, "at or above degraded threshold")
     } else {
-        HealthStatus::Healthy
-    }
-}
-
-fn grade_count(value: u64, degraded: u64, unhealthy: u64) -> HealthStatus {
-    if value >= unhealthy {
-        HealthStatus::Unhealthy
-    } else if value >= degraded {
-        HealthStatus::Degraded
-    } else {
-        HealthStatus::Healthy
+        (HealthStatus::Healthy, "below degraded threshold")
+    };
+    HealthCheck {
+        name: name.to_owned(),
+        status,
+        reason: format!("{measure} {standing}"),
     }
 }
 
 /// Evaluates one pair's health from its inputs against thresholds.
-pub fn evaluate_pair(inputs: &HealthInputs, thresholds: &HealthThresholds) -> PairHealth {
+pub fn evaluate_pair(inputs: &HealthInputs, t: &HealthThresholds) -> PairHealth {
     let w = &inputs.window;
-    let span = if w.window_secs > 0 {
-        format!("last {}s", w.window_secs)
-    } else {
-        "lifetime".to_owned()
-    };
-    let mut checks = Vec::with_capacity(4);
-
-    // Failure rate: failed vs attempted traversals in the window. A
-    // window with no traffic is healthy by definition.
-    let attempts = w.started.max(w.failed);
-    let ratio = if attempts == 0 {
+    // Failure rate: failed vs ended traversals in the window (abandoned
+    // ones — a client hanging up between calls — are neither). A window
+    // with no traffic is healthy by definition.
+    let ended = w.finished + w.failed;
+    let ratio = if ended == 0 {
         0.0
     } else {
-        w.failed as f64 / attempts as f64
+        w.failed as f64 / ended as f64
     };
-    let mut reason = format!("{} failed / {} started ({span})", w.failed, w.started);
-    if let Some((stage, n)) = w.failures_by_stage.iter().max_by_key(|(_, n)| *n) {
-        reason.push_str(&format!(", worst stage {stage}={n}"));
-    }
-    checks.push(HealthCheck {
-        name: "failure-rate".to_owned(),
-        status: grade(
-            ratio,
-            thresholds.failure_ratio_degraded,
-            thresholds.failure_ratio_unhealthy,
-        ),
-        reason,
-    });
-
-    checks.push(HealthCheck {
-        name: "accept-errors".to_owned(),
-        status: grade_count(
-            w.accept_errors,
-            thresholds.accept_errors_degraded,
-            thresholds.accept_errors_unhealthy,
-        ),
-        reason: format!("{} accept errors ({span})", w.accept_errors),
-    });
-
-    let (queue_status, queue_reason) = if inputs.queue_capacity == 0 {
-        (
-            HealthStatus::Healthy,
-            "no bounded queue (threaded host)".to_owned(),
-        )
+    let queue = if inputs.queue_capacity == 0 {
+        HealthCheck {
+            name: "queue-depth".to_owned(),
+            status: HealthStatus::Healthy,
+            reason: "no bounded queue (threaded host)".to_owned(),
+        }
     } else {
-        let saturation = inputs.queue_depth as f64 / inputs.queue_capacity as f64;
-        (
-            grade(
-                saturation,
-                thresholds.queue_saturation_degraded,
-                thresholds.queue_saturation_unhealthy,
-            ),
-            format!(
-                "depth {} of {} ({:.0}%)",
-                inputs.queue_depth,
-                inputs.queue_capacity,
-                saturation * 100.0
-            ),
+        check(
+            "queue-depth",
+            "queue saturation",
+            inputs.queue_depth as f64 / inputs.queue_capacity as f64,
+            t.queue_saturation_degraded,
+            t.queue_saturation_unhealthy,
         )
     };
-    checks.push(HealthCheck {
-        name: "queue-depth".to_owned(),
-        status: queue_status,
-        reason: queue_reason,
-    });
-
-    checks.push(HealthCheck {
-        name: "stalled-sessions".to_owned(),
-        status: grade_count(
-            inputs.stalled_now,
-            thresholds.stalled_degraded,
-            thresholds.stalled_unhealthy,
+    let checks = vec![
+        check(
+            "failure-rate",
+            "failure ratio",
+            ratio,
+            t.failure_ratio_degraded,
+            t.failure_ratio_unhealthy,
         ),
-        reason: format!(
-            "{} stalled now, {} stall events ({span})",
-            inputs.stalled_now, w.stalled
+        check(
+            "accept-errors",
+            "accept errors",
+            w.accept_errors as f64,
+            t.accept_errors_degraded as f64,
+            t.accept_errors_unhealthy as f64,
         ),
-    });
-
+        queue,
+        check(
+            "stalled-sessions",
+            "stalled sessions",
+            inputs.stalled_now as f64,
+            t.stalled_degraded as f64,
+            t.stalled_unhealthy as f64,
+        ),
+    ];
     let status = checks
         .iter()
         .map(|c| c.status)
@@ -340,10 +311,10 @@ mod tests {
     #[test]
     fn failure_ratio_grades_degraded_then_unhealthy() {
         let mut i = inputs();
-        i.window.failed = 10; // 10%
+        i.window.failed = 10; // 10 of 108 ended: 9%
         let pair = evaluate_pair(&i, &HealthThresholds::default());
         assert_eq!(pair.status, HealthStatus::Degraded);
-        i.window.failed = 60; // 60%
+        i.window.failed = 150; // 150 of 248 ended: 60%
         let pair = evaluate_pair(&i, &HealthThresholds::default());
         assert_eq!(pair.status, HealthStatus::Unhealthy);
     }
@@ -354,23 +325,40 @@ mod tests {
         // errors): failed > started must still register.
         let mut i = inputs();
         i.window.started = 0;
+        i.window.finished = 0;
         i.window.failed = 5;
         let pair = evaluate_pair(&i, &HealthThresholds::default());
         assert_eq!(pair.status, HealthStatus::Unhealthy);
     }
 
     #[test]
-    fn worst_stage_named_in_failure_reason() {
+    fn abandoned_traversals_do_not_dilute_the_failure_ratio() {
+        // 32 of 64 ended traversals failed: unhealthy, however many more
+        // were started and abandoned.
         let mut i = inputs();
-        i.window.failed = 10;
-        i.window.failures_by_stage = vec![("mdl".to_owned(), 3), ("net".to_owned(), 7)];
+        (i.window.started, i.window.finished) = (96, 32);
+        (i.window.failed, i.window.abandoned) = (32, 32);
         let pair = evaluate_pair(&i, &HealthThresholds::default());
-        let check = &pair.checks[0];
-        assert!(
-            check.reason.contains("worst stage net=7"),
-            "{}",
-            check.reason
-        );
+        assert_eq!(pair.checks[0].status, HealthStatus::Unhealthy);
+    }
+
+    #[test]
+    fn equal_statuses_give_identical_check_labels() {
+        let labels = |i: &HealthInputs| {
+            let families = evaluate_pair(i, &HealthThresholds::default()).families();
+            let checks = families
+                .into_iter()
+                .find(|f| f.name == "starlink_health_check");
+            checks.unwrap().samples
+        };
+        let mut busy = inputs();
+        (busy.window.started, busy.window.finished) = (5_000, 4_990);
+        (busy.window.failed, busy.window.accept_errors) = (2, 1);
+        (busy.window.stalled, busy.queue_depth) = (3, 3);
+        // Different counts, same statuses: the same series.
+        assert_eq!(labels(&inputs()), labels(&busy));
+        busy.stalled_now = 1;
+        assert_ne!(labels(&inputs()), labels(&busy), "a status change shows");
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Structured tracing + metrics for the Starlink runtime.
 //!
 //! The paper's evaluation (§6) reports per-phase costs — parse, compose,
-//! translate, γ-transition execution — and this crate makes those phases
-//! observable at runtime instead of only in offline benchmarks:
+//! γ translation — and this crate makes those phases observable at
+//! runtime instead of only in offline benchmarks:
 //!
-//! * [`TraceEvent`] — the event taxonomy: session lifecycle, automaton
-//!   transitions (with color info), γ/MTL execution, codec parse/compose
-//!   durations, dispatch probe outcomes, wire bytes in/out, buffer-pool
-//!   reuse, and mediator-host health (queue depth, accept errors, worker
-//!   panics). Events borrow their string data, so *emitting* one never
+//! * [`TraceEvent`] — the event taxonomy: session lifecycle (every
+//!   traversal finishes, fails or is abandoned), automaton transitions
+//!   (with color info), closed [`Layer`] spans — the one timed event —,
+//!   dispatch probe outcomes, wire bytes in/out, buffer-pool reuse, and
+//!   mediator-host health (queue depth, accept errors, worker panics).
+//!   Events borrow their string data, so *emitting* one never
 //!   allocates.
 //! * [`TelemetrySink`] — where events go. Sinks are always injected
-//!   explicitly (via `SessionSpec`, codec/transport builders, …), never
+//!   explicitly (via `SessionSpec`, codec and monitor builders, …), never
 //!   ambient. The [`NoopSink`] default reports `enabled() == false` so
 //!   instrumented hot paths skip event construction entirely; its cost is
 //!   one virtual call per instrumentation site.
@@ -47,9 +48,8 @@
 //!   the `starlink health` CLI reads.
 //!
 //! This crate has **zero dependencies** (not even on `starlink-message`)
-//! so every layer of the workspace — codecs, the MTL interpreter,
-//! transports, the session engine — can emit events without dependency
-//! cycles.
+//! so every layer of the workspace — codecs, monitors, the session
+//! engine — can emit events without dependency cycles.
 //!
 //! See `docs/observability.md` for the full taxonomy, the sink contract,
 //! and measured overhead numbers.
@@ -68,7 +68,7 @@ mod snapshot;
 mod span;
 mod window;
 
-pub use event::{ProbeOutcome, TraceEvent, TransitionKind};
+pub use event::{AbandonReason, Layer, ProbeOutcome, TraceEvent, TransitionKind};
 pub use export::{
     chrome_events, parse_chrome_trace, render_chrome_json, render_timeline, validate_chrome_trace,
     ChromeEvent, TraceStats,

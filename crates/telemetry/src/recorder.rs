@@ -1,22 +1,35 @@
 //! The batteries-included sink: aggregates events into lock-free metrics
 //! and keeps a bounded ring buffer of recent events.
 
-use crate::event::{ProbeOutcome, TraceEvent, TransitionKind};
+use crate::event::{AbandonReason, Layer, ProbeOutcome, TraceEvent, TransitionKind};
 use crate::metrics::{Counter, Gauge, Histogram, DURATION_BUCKET_BOUNDS_NS};
 use crate::sink::TelemetrySink;
 use crate::snapshot::{MetricFamily, MetricKind, Sample, Snapshot};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// Default capacity of the recent-events ring buffer.
 const DEFAULT_RING_CAPACITY: usize = 128;
 
-/// Accumulated dwell time for one automaton state.
-#[derive(Debug, Default, Clone, Copy)]
-struct DwellTotals {
-    count: u64,
-    sum_ns: u64,
+/// Count and summed nanoseconds of closed spans of one (layer, color).
+#[derive(Debug, Default)]
+struct LayerTotals {
+    count: Counter,
+    sum_ns: Counter,
+}
+
+/// Per-(layer, color) span totals: a fixed table with a slot for every
+/// color, so recording is two atomic adds — no lock, no allocation.
+#[derive(Debug)]
+struct LayerTable([[LayerTotals; 256]; Layer::ALL.len()]);
+
+impl Default for LayerTable {
+    fn default() -> Self {
+        LayerTable(std::array::from_fn(|_| {
+            std::array::from_fn(|_| LayerTotals::default())
+        }))
+    }
 }
 
 /// The recorder's creation instant (wrapped so `Recorder` can keep
@@ -39,20 +52,19 @@ pub struct Recorder {
     sessions_started: Counter,
     sessions_finished: Counter,
     sessions_failed: Counter,
+    /// Abandoned traversals, indexed like [`AbandonReason::ALL`].
+    sessions_abandoned: [Counter; AbandonReason::ALL.len()],
     exchanges: Counter,
     transitions_receive: Counter,
     transitions_send: Counter,
     transitions_gamma: Counter,
-    gamma_duration_ns: Histogram,
-    translate_duration_ns: Histogram,
+    /// Span durations, indexed like [`Layer::ALL`].
+    layer_duration_ns: [Histogram; Layer::ALL.len()],
+    layer_totals: LayerTable,
     monitor_violations: Counter,
     probe_hit: Counter,
     probe_miss: Counter,
     probe_fallback: Counter,
-    parse_duration_ns: Histogram,
-    parse_bytes: Counter,
-    compose_duration_ns: Histogram,
-    compose_bytes: Counter,
     wire_bytes_in: Counter,
     wire_bytes_out: Counter,
     wire_messages_in: Counter,
@@ -60,9 +72,6 @@ pub struct Recorder {
     wire_buf_reused: Counter,
     wire_buf_alloc: Counter,
     service_connects: Counter,
-    transport_bytes_in: Counter,
-    transport_bytes_out: Counter,
-    transport_frames_in: Counter,
     sessions_accepted: Counter,
     accept_errors: Counter,
     worker_panics: Counter,
@@ -70,11 +79,6 @@ pub struct Recorder {
     queue_depth: Gauge,
     sessions_stalled: Counter,
     stalled_sessions: Gauge,
-    state_dwell_ns: Histogram,
-    /// Per-state dwell totals, keyed by state name. State sets are small
-    /// and fixed per deployed merge, so the map stays tiny; the mutex is
-    /// short and only touched when a sink is installed at all.
-    state_dwell_by_state: Mutex<HashMap<String, DwellTotals>>,
     ring_capacity: usize,
     ring: Mutex<VecDeque<String>>,
     epoch: Epoch,
@@ -108,19 +112,18 @@ impl Recorder {
             .collect()
     }
 
-    /// Completed traversals so far (shortcut for hosts that report a
-    /// session count without building a full snapshot).
-    pub fn sessions_finished(&self) -> u64 {
-        self.sessions_finished.get()
-    }
-
     fn retain(&self, event: &TraceEvent<'_>) {
         if self.ring_capacity == 0 {
             return;
         }
         // Only lifecycle/diagnostic events are retained verbatim; the
-        // per-message firehose (parse, compose, wire bytes) stays
-        // aggregate-only so the ring holds interesting history.
+        // per-message firehose (spans, wire bytes) stays aggregate-only
+        // so the ring holds interesting history. Abandonment is the
+        // routine end of every connection and is only counted: retaining
+        // it would allocate on the session thread just before it exits,
+        // and that small live allocation can keep the thread's freed
+        // translation cache resident (glibc arenas; `photo-browse` peak
+        // RSS rose from ~57 to ~89 MiB on a 2-core VM).
         let keep = matches!(
             event,
             TraceEvent::SessionStarted
@@ -177,6 +180,15 @@ impl Recorder {
             counter("starlink_sessions_started_total", &self.sessions_started),
             counter("starlink_sessions_finished_total", &self.sessions_finished),
             counter("starlink_sessions_failed_total", &self.sessions_failed),
+            MetricFamily::simple(
+                "starlink_sessions_abandoned_total",
+                MetricKind::Counter,
+                AbandonReason::ALL
+                    .iter()
+                    .zip(&self.sessions_abandoned)
+                    .map(|(reason, c)| Sample::labelled("reason", reason.label(), c.get()))
+                    .collect(),
+            ),
             counter("starlink_exchanges_total", &self.exchanges),
             MetricFamily::simple(
                 "starlink_transitions_total",
@@ -186,11 +198,6 @@ impl Recorder {
                     Sample::labelled("kind", "send", self.transitions_send.get()),
                     Sample::labelled("kind", "gamma", self.transitions_gamma.get()),
                 ],
-            ),
-            histogram("starlink_gamma_duration_ns", &self.gamma_duration_ns),
-            histogram(
-                "starlink_translate_duration_ns",
-                &self.translate_duration_ns,
             ),
             counter(
                 "starlink_monitor_violations_total",
@@ -205,10 +212,6 @@ impl Recorder {
                     Sample::labelled("outcome", "fallback", self.probe_fallback.get()),
                 ],
             ),
-            histogram("starlink_parse_duration_ns", &self.parse_duration_ns),
-            counter("starlink_parse_bytes_total", &self.parse_bytes),
-            histogram("starlink_compose_duration_ns", &self.compose_duration_ns),
-            counter("starlink_compose_bytes_total", &self.compose_bytes),
             counter("starlink_wire_bytes_in_total", &self.wire_bytes_in),
             counter("starlink_wire_bytes_out_total", &self.wire_bytes_out),
             counter("starlink_wire_messages_in_total", &self.wire_messages_in),
@@ -216,18 +219,6 @@ impl Recorder {
             counter("starlink_wire_buf_reused_total", &self.wire_buf_reused),
             counter("starlink_wire_buf_alloc_total", &self.wire_buf_alloc),
             counter("starlink_service_connects_total", &self.service_connects),
-            counter(
-                "starlink_transport_bytes_in_total",
-                &self.transport_bytes_in,
-            ),
-            counter(
-                "starlink_transport_bytes_out_total",
-                &self.transport_bytes_out,
-            ),
-            counter(
-                "starlink_transport_frames_in_total",
-                &self.transport_frames_in,
-            ),
             counter("starlink_sessions_accepted_total", &self.sessions_accepted),
             counter("starlink_accept_errors_total", &self.accept_errors),
             counter("starlink_worker_panics_total", &self.worker_panics),
@@ -241,37 +232,49 @@ impl Recorder {
                 "starlink_sessions_stalled_peak",
                 self.stalled_sessions.max(),
             ),
-            histogram("starlink_state_dwell_ns", &self.state_dwell_ns),
         ];
-        // Per-state dwell rides as labelled count/sum counters: the
-        // MetricFamily histogram shape carries a single sum/count, so
-        // per-state distributions are exposed the way Prometheus
-        // summaries without quantiles are.
-        let dwell = self
-            .state_dwell_by_state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !dwell.is_empty() {
-            let mut states: Vec<(&String, &DwellTotals)> = dwell.iter().collect();
-            states.sort_by_key(|(name, _)| name.as_str());
-            families.push(MetricFamily::simple(
-                "starlink_state_dwell_count",
-                MetricKind::Counter,
-                states
-                    .iter()
-                    .map(|(name, t)| Sample::labelled("state", name, t.count))
-                    .collect(),
-            ));
-            families.push(MetricFamily::simple(
-                "starlink_state_dwell_sum_ns",
-                MetricKind::Counter,
-                states
-                    .iter()
-                    .map(|(name, t)| Sample::labelled("state", name, t.sum_ns))
-                    .collect(),
+        for (layer, h) in Layer::ALL.iter().zip(&self.layer_duration_ns) {
+            families.push(histogram(
+                &format!("starlink_{}_duration_ns", layer.label()),
+                h,
             ));
         }
-        drop(dwell);
+        // Per-(layer, color) totals ride as labelled count/sum counters
+        // (a summary without quantiles); pairs never seen are left out.
+        let mut counts = Vec::new();
+        let mut sums = Vec::new();
+        for (layer, row) in Layer::ALL.iter().zip(&self.layer_totals.0) {
+            for (color, totals) in row.iter().enumerate() {
+                let count = totals.count.get();
+                if count == 0 {
+                    continue;
+                }
+                let labels = vec![
+                    ("layer".to_owned(), layer.label().to_owned()),
+                    ("color".to_owned(), color.to_string()),
+                ];
+                sums.push(Sample {
+                    labels: labels.clone(),
+                    value: totals.sum_ns.get(),
+                });
+                counts.push(Sample {
+                    labels,
+                    value: count,
+                });
+            }
+        }
+        if !counts.is_empty() {
+            families.push(MetricFamily::simple(
+                "starlink_layer_count",
+                MetricKind::Counter,
+                counts,
+            ));
+            families.push(MetricFamily::simple(
+                "starlink_layer_sum_ns",
+                MetricKind::Counter,
+                sums,
+            ));
+        }
         Snapshot { families }
     }
 }
@@ -285,31 +288,30 @@ impl TelemetrySink for Recorder {
                 self.exchanges.add(exchanges as u64);
             }
             TraceEvent::SessionFailed { .. } => self.sessions_failed.inc(),
+            TraceEvent::SessionAbandoned { reason } => {
+                self.sessions_abandoned[reason as usize].inc();
+            }
             TraceEvent::Transition { kind, .. } => match kind {
                 TransitionKind::Receive => self.transitions_receive.inc(),
                 TransitionKind::Send => self.transitions_send.inc(),
                 TransitionKind::Gamma => self.transitions_gamma.inc(),
             },
-            TraceEvent::GammaExecuted { nanos, .. } => self.gamma_duration_ns.observe(nanos),
-            TraceEvent::Translate { nanos, .. } => self.translate_duration_ns.observe(nanos),
+            TraceEvent::SpanClosed {
+                layer,
+                color,
+                nanos,
+            } => {
+                self.layer_duration_ns[layer as usize].observe(nanos);
+                let totals = &self.layer_totals.0[layer as usize][color as usize];
+                totals.count.inc();
+                totals.sum_ns.add(nanos);
+            }
             TraceEvent::MonitorViolation { .. } => self.monitor_violations.inc(),
             TraceEvent::DispatchProbe { outcome } => match outcome {
                 ProbeOutcome::Hit => self.probe_hit.inc(),
                 ProbeOutcome::Miss => self.probe_miss.inc(),
                 ProbeOutcome::Fallback => self.probe_fallback.inc(),
             },
-            TraceEvent::Parse {
-                wire_bytes, nanos, ..
-            } => {
-                self.parse_duration_ns.observe(nanos);
-                self.parse_bytes.add(wire_bytes as u64);
-            }
-            TraceEvent::Compose {
-                wire_bytes, nanos, ..
-            } => {
-                self.compose_duration_ns.observe(nanos);
-                self.compose_bytes.add(wire_bytes as u64);
-            }
             TraceEvent::WireIn { bytes, .. } => {
                 self.wire_bytes_in.add(bytes as u64);
                 self.wire_messages_in.inc();
@@ -321,9 +323,6 @@ impl TelemetrySink for Recorder {
             TraceEvent::WireBufReused => self.wire_buf_reused.inc(),
             TraceEvent::WireBufAllocated => self.wire_buf_alloc.inc(),
             TraceEvent::ServiceConnected { .. } => self.service_connects.inc(),
-            TraceEvent::TransportBytesIn { bytes } => self.transport_bytes_in.add(bytes as u64),
-            TraceEvent::TransportBytesOut { bytes } => self.transport_bytes_out.add(bytes as u64),
-            TraceEvent::TransportFrameIn { .. } => self.transport_frames_in.inc(),
             TraceEvent::SessionAccepted => self.sessions_accepted.inc(),
             TraceEvent::AcceptError => self.accept_errors.inc(),
             TraceEvent::WorkerPanic => self.worker_panics.inc(),
@@ -331,21 +330,9 @@ impl TelemetrySink for Recorder {
             TraceEvent::QueueDepth { depth } => self.queue_depth.set(depth as u64),
             TraceEvent::SessionStalled { .. } => self.sessions_stalled.inc(),
             TraceEvent::StalledSessions { count } => self.stalled_sessions.set(count as u64),
-            TraceEvent::StateDwell { state, nanos } => {
-                self.state_dwell_ns.observe(nanos);
-                let mut dwell = self
-                    .state_dwell_by_state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                let totals = dwell.entry(state.to_owned()).or_default();
-                totals.count += 1;
-                totals.sum_ns += nanos;
-            }
             // Tracing structure is the TraceBuffer's / FlightRecorder's
-            // business; the aggregate view ignores it.
-            TraceEvent::SpanOpened { .. }
-            | TraceEvent::SpanClosed { .. }
-            | TraceEvent::MessageSnapshot { .. } => {}
+            // business; the aggregate view needs only closed spans.
+            TraceEvent::SpanOpened { .. } | TraceEvent::MessageSnapshot { .. } => {}
         }
         self.retain(event);
     }
@@ -376,10 +363,18 @@ mod tests {
         r.record(&TraceEvent::DispatchProbe {
             outcome: ProbeOutcome::Miss,
         });
-        r.record(&TraceEvent::Parse {
-            variant: "GIOPRequest",
-            wire_bytes: 64,
+        r.record(&TraceEvent::SpanClosed {
+            layer: Layer::Parse,
+            color: 1,
             nanos: 1_500,
+        });
+        r.record(&TraceEvent::SpanClosed {
+            layer: Layer::Parse,
+            color: 1,
+            nanos: 500,
+        });
+        r.record(&TraceEvent::SessionAbandoned {
+            reason: AbandonReason::Closed,
         });
         r.record(&TraceEvent::QueueDepth { depth: 5 });
         r.record(&TraceEvent::QueueDepth { depth: 2 });
@@ -396,10 +391,31 @@ mod tests {
             snap.value("starlink_dispatch_probe_total", &[("outcome", "miss")]),
             Some(1)
         );
-        assert_eq!(snap.counter("starlink_parse_bytes_total"), 64);
         let parse = snap.family("starlink_parse_duration_ns").unwrap();
-        assert_eq!(parse.count, Some(1));
-        assert_eq!(parse.sum, Some(1_500));
+        assert_eq!(parse.count, Some(2));
+        assert_eq!(parse.sum, Some(2_000));
+        let labels = [("layer", "parse"), ("color", "1")];
+        assert_eq!(snap.value("starlink_layer_count", &labels), Some(2));
+        assert_eq!(snap.value("starlink_layer_sum_ns", &labels), Some(2_000));
+        // Pairs never seen are not exported.
+        assert_eq!(
+            snap.value(
+                "starlink_layer_count",
+                &[("layer", "parse"), ("color", "2")]
+            ),
+            None
+        );
+        assert_eq!(
+            snap.value("starlink_sessions_abandoned_total", &[("reason", "closed")]),
+            Some(1)
+        );
+        assert_eq!(
+            snap.value(
+                "starlink_sessions_abandoned_total",
+                &[("reason", "timeout")]
+            ),
+            Some(0)
+        );
         assert_eq!(snap.counter("starlink_queue_depth"), 2);
         assert_eq!(snap.counter("starlink_queue_depth_peak"), 5);
     }
@@ -455,10 +471,9 @@ mod tests {
     fn snapshot_round_trips_through_exposition() {
         let r = Recorder::new();
         r.record(&TraceEvent::SessionStarted);
-        r.record(&TraceEvent::GammaExecuted {
-            from: "a",
-            to: "b",
-            statements: 3,
+        r.record(&TraceEvent::SpanClosed {
+            layer: Layer::Gamma,
+            color: 2,
             nanos: 999,
         });
         let snap = r.snapshot();

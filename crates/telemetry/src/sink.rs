@@ -13,7 +13,7 @@ use std::sync::Arc;
 ///   paths. Aggregate into atomics (see [`crate::Recorder`]) or push into
 ///   a bounded buffer; never do I/O inline.
 /// * `enabled` lets call sites skip event construction (and the
-///   `Instant::now()` pair around timed phases) entirely. A sink that
+///   engine's layer-boundary clock reads) entirely. A sink that
 ///   returns `false` must also tolerate `record` being called anyway —
 ///   cheap events may be emitted unguarded.
 /// * `snapshot` returns an aggregate view when the sink keeps one;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 ///   sink type.
 ///
 /// Sinks are injected explicitly — through `SessionSpec`, codec and
-/// transport builders — never discovered ambiently, which keeps the
+/// monitor builders — never discovered ambiently, which keeps the
 /// session engine sans-I/O-friendly and deterministic under test.
 pub trait TelemetrySink: Send + Sync {
     /// Whether events are worth constructing at all.
@@ -52,7 +52,8 @@ pub trait TelemetrySink: Send + Sync {
     /// Whether this sink consumes span metadata. Emitting layers only
     /// mint a [`crate::SessionTracer`] (and pay its timestamping and
     /// span bookkeeping) when this returns `true`, so purely aggregate
-    /// deployments keep PR 3's cost profile. Defaults to `false`.
+    /// deployments keep their aggregate-only cost profile. Defaults to
+    /// `false`.
     fn wants_spans(&self) -> bool {
         false
     }

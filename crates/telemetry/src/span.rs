@@ -1,11 +1,12 @@
 //! Per-session causal tracing: span identity, the session tracer, and
 //! the bounded buffer of completed session traces.
 //!
-//! PR 3's metrics answer "how many / how fast"; this module answers
-//! *which* — which client message, on which color, passed through which
-//! γ-translation and came out on the other side. A driver mints one
-//! [`SessionTraceId`] per client connection; the session engine opens
-//! [`SpanId`]s around each phase (receive, γ-translate, send) and every
+//! The aggregate metrics answer "how many / how fast"; this module
+//! answers *which* — which client message, on which color, passed
+//! through which γ-translation and came out on the other side. A driver
+//! mints one [`SessionTraceId`] per client connection; the session
+//! engine opens one [`SpanId`] per [`Layer`] it crosses (wait, parse,
+//! unbind, γ, bind, compose, under a `session` root) and every
 //! [`TraceEvent`] it emits travels with a [`TraceMeta`]: the session id,
 //! a monotonic timestamp, and the span it belongs to plus that span's
 //! parent — enough to rebuild the causal tree from a flat event stream.
@@ -15,7 +16,7 @@
 //! no-op-sink deployment still costs one branch per instrumentation
 //! site.
 
-use crate::event::TraceEvent;
+use crate::event::{Layer, TraceEvent};
 use crate::sink::TelemetrySink;
 use crate::snapshot::Snapshot;
 use std::collections::HashMap;
@@ -76,14 +77,8 @@ pub struct SpanGuard {
     /// Its parent (restored as current on close).
     pub parent: SpanId,
     prev_parent: SpanId,
-    name: &'static str,
-}
-
-impl SpanGuard {
-    /// The span's name (as recorded in the open event).
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
+    layer: Layer,
+    color: u8,
 }
 
 /// Per-session trace context: mints span ids, stamps monotonic
@@ -147,25 +142,37 @@ impl SessionTracer {
         }
     }
 
+    /// Nanoseconds from the tracer's epoch to `at` (0 before the epoch).
+    fn offset_ns(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_nanos() as u64
+    }
+
     /// Records one event inside the current span.
     pub fn record(&self, sink: &dyn TelemetrySink, event: &TraceEvent<'_>) {
         sink.record_traced(&self.meta(), event);
     }
 
-    /// Opens a named child span of the current span and makes it
-    /// current. The open is recorded as [`TraceEvent::SpanOpened`].
-    pub fn open(&self, sink: &dyn TelemetrySink, name: &'static str) -> SpanGuard {
+    /// Opens a `layer` span on `color` as a child of the current span,
+    /// starting at `at` (the caller's clock read), and makes it current.
+    /// The open is recorded as [`TraceEvent::SpanOpened`].
+    pub fn open(
+        &self,
+        sink: &dyn TelemetrySink,
+        layer: Layer,
+        color: u8,
+        at: Instant,
+    ) -> SpanGuard {
         let id = SpanId(self.next_span.fetch_add(1, Ordering::Relaxed));
         let parent = SpanId(self.current.load(Ordering::Relaxed));
         let prev_parent = SpanId(self.current_parent.load(Ordering::Relaxed));
         sink.record_traced(
             &TraceMeta {
                 session: self.session,
-                ts_ns: self.now_ns(),
+                ts_ns: self.offset_ns(at),
                 span: id,
                 parent,
             },
-            &TraceEvent::SpanOpened { name },
+            &TraceEvent::SpanOpened { layer, color },
         );
         self.current.store(id.0, Ordering::Relaxed);
         self.current_parent.store(parent.0, Ordering::Relaxed);
@@ -173,21 +180,27 @@ impl SessionTracer {
             id,
             parent,
             prev_parent,
-            name,
+            layer,
+            color,
         }
     }
 
-    /// Closes a span opened with [`SessionTracer::open`], restoring its
-    /// parent as current. Recorded as [`TraceEvent::SpanClosed`].
-    pub fn close(&self, sink: &dyn TelemetrySink, guard: SpanGuard) {
+    /// Closes a span opened with [`SessionTracer::open`] at `at`, after
+    /// `nanos`, restoring its parent as current. Recorded as
+    /// [`TraceEvent::SpanClosed`].
+    pub fn close(&self, sink: &dyn TelemetrySink, guard: SpanGuard, at: Instant, nanos: u64) {
         sink.record_traced(
             &TraceMeta {
                 session: self.session,
-                ts_ns: self.now_ns(),
+                ts_ns: self.offset_ns(at),
                 span: guard.id,
                 parent: guard.parent,
             },
-            &TraceEvent::SpanClosed { name: guard.name },
+            &TraceEvent::SpanClosed {
+                layer: guard.layer,
+                color: guard.color,
+                nanos,
+            },
         );
         self.current.store(guard.parent.0, Ordering::Relaxed);
         self.current_parent
@@ -202,9 +215,9 @@ impl Default for SessionTracer {
 }
 
 /// Adapter lending a tracer's metadata to code that only knows the
-/// plain [`TelemetrySink`] contract (the MTL interpreter's
-/// `execute_traced`, the codec's probe events): `record` calls become
-/// `record_traced` calls stamped with the session's current span.
+/// plain [`TelemetrySink`] contract (the codec's probe events): `record`
+/// calls become `record_traced` calls stamped with the session's current
+/// span.
 pub struct SpanScopedSink<'a> {
     tracer: &'a SessionTracer,
     inner: &'a dyn TelemetrySink,
@@ -252,9 +265,6 @@ pub enum TraceRecordKind {
     SpanClose,
     /// A point event.
     Instant,
-    /// A phase that finished at `meta.ts_ns` after running for the
-    /// given nanoseconds (parse, compose, γ, translate).
-    Timed(u64),
 }
 
 /// One retained, owned trace record: the event normalised to a name, a
@@ -278,10 +288,20 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// Normalises one event into an owned record.
     pub fn from_event(meta: TraceMeta, event: &TraceEvent<'_>) -> TraceRecord {
-        use TraceRecordKind::{Instant, SpanClose, SpanOpen, Timed};
+        use TraceRecordKind::{Instant, SpanClose, SpanOpen};
         let (kind, name, detail) = match *event {
-            TraceEvent::SpanOpened { name } => (SpanOpen, name.to_owned(), String::new()),
-            TraceEvent::SpanClosed { name } => (SpanClose, name.to_owned(), String::new()),
+            TraceEvent::SpanOpened { layer, color } => {
+                (SpanOpen, layer.label().to_owned(), format!("color {color}"))
+            }
+            TraceEvent::SpanClosed {
+                layer,
+                color,
+                nanos,
+            } => (
+                SpanClose,
+                layer.label().to_owned(),
+                format!("color {color}, {nanos} ns"),
+            ),
             TraceEvent::SessionStarted => (Instant, "session-started".into(), String::new()),
             TraceEvent::SessionFinished {
                 final_state,
@@ -294,6 +314,11 @@ impl TraceRecord {
             TraceEvent::SessionFailed { stage } => {
                 (Instant, "session-failed".into(), format!("stage={stage}"))
             }
+            TraceEvent::SessionAbandoned { reason } => (
+                Instant,
+                "session-abandoned".into(),
+                format!("reason={}", reason.label()),
+            ),
             TraceEvent::SessionAccepted => (Instant, "accepted".into(), String::new()),
             TraceEvent::Transition {
                 from,
@@ -304,39 +329,6 @@ impl TraceRecord {
                 Instant,
                 "transition".into(),
                 format!("{from} -> {to} ({}, color {color})", kind.label()),
-            ),
-            TraceEvent::GammaExecuted {
-                from,
-                to,
-                statements,
-                nanos,
-            } => (
-                Timed(nanos),
-                "gamma".into(),
-                format!("{from} -> {to} ({statements} statements)"),
-            ),
-            TraceEvent::Translate { statements, nanos } => (
-                Timed(nanos),
-                "translate".into(),
-                format!("{statements} statements"),
-            ),
-            TraceEvent::Parse {
-                variant,
-                wire_bytes,
-                nanos,
-            } => (
-                Timed(nanos),
-                "parse".into(),
-                format!("{variant} ({wire_bytes} B)"),
-            ),
-            TraceEvent::Compose {
-                variant,
-                wire_bytes,
-                nanos,
-            } => (
-                Timed(nanos),
-                "compose".into(),
-                format!("{variant} ({wire_bytes} B)"),
             ),
             TraceEvent::WireIn { color, bytes } => (
                 Instant,
@@ -370,15 +362,6 @@ impl TraceRecord {
             ),
             TraceEvent::WireBufReused => (Instant, "wire-buf-reused".into(), String::new()),
             TraceEvent::WireBufAllocated => (Instant, "wire-buf-allocated".into(), String::new()),
-            TraceEvent::TransportBytesIn { bytes } => {
-                (Instant, "transport-bytes-in".into(), format!("{bytes} B"))
-            }
-            TraceEvent::TransportBytesOut { bytes } => {
-                (Instant, "transport-bytes-out".into(), format!("{bytes} B"))
-            }
-            TraceEvent::TransportFrameIn { bytes } => {
-                (Instant, "transport-frame-in".into(), format!("{bytes} B"))
-            }
             TraceEvent::AcceptError => (Instant, "accept-error".into(), String::new()),
             TraceEvent::WorkerPanic => (Instant, "worker-panic".into(), String::new()),
             TraceEvent::ActiveSessions { count } => {
@@ -392,9 +375,6 @@ impl TraceRecord {
             ),
             TraceEvent::StalledSessions { count } => {
                 (Instant, "stalled-sessions".into(), format!("{count}"))
-            }
-            TraceEvent::StateDwell { state, nanos } => {
-                (Timed(nanos), "state-dwell".into(), format!("state {state}"))
             }
         };
         TraceRecord {
@@ -557,20 +537,17 @@ impl TelemetrySink for TraceBuffer {
 mod tests {
     use super::*;
 
+    /// A session root holding one parse span, closed at fresh clock
+    /// reads.
     fn traced_session(buffer: &TraceBuffer, exchanges: usize) -> SessionTraceId {
         let tracer = SessionTracer::new();
-        let root = tracer.open(buffer, "session");
+        let t0 = Instant::now();
+        let root = tracer.open(buffer, Layer::Session, 1, t0);
         tracer.record(buffer, &TraceEvent::SessionStarted);
-        let recv = tracer.open(buffer, "receive");
-        tracer.record(
-            buffer,
-            &TraceEvent::Parse {
-                variant: "GIOPRequest",
-                wire_bytes: 64,
-                nanos: 1_000,
-            },
-        );
-        tracer.close(buffer, recv);
+        let t1 = Instant::now();
+        let parse = tracer.open(buffer, Layer::Parse, 1, t1);
+        let t2 = Instant::now();
+        tracer.close(buffer, parse, t2, (t2 - t1).as_nanos() as u64);
         tracer.record(
             buffer,
             &TraceEvent::SessionFinished {
@@ -578,7 +555,8 @@ mod tests {
                 exchanges,
             },
         );
-        tracer.close(buffer, root);
+        let t3 = Instant::now();
+        tracer.close(buffer, root, t3, (t3 - t0).as_nanos() as u64);
         tracer.session()
     }
 
@@ -588,8 +566,8 @@ mod tests {
         let session = traced_session(&buffer, 3);
         assert_eq!(buffer.active_sessions(), 0);
         let trace = buffer.trace(session).expect("trace completed");
-        assert_eq!(trace.span_names(), vec!["session", "receive"]);
-        // The receive span's parent is the session span.
+        assert_eq!(trace.span_names(), vec!["session", "parse"]);
+        // The parse span's parent is the session span.
         let spans: Vec<&TraceRecord> = trace
             .records
             .iter()
@@ -597,10 +575,17 @@ mod tests {
             .collect();
         assert_eq!(spans[0].meta.parent, SpanId::NONE);
         assert_eq!(spans[1].meta.parent, spans[0].meta.span);
-        // The parse event sits inside the receive span.
-        let parse = trace.records.iter().find(|r| r.name == "parse").unwrap();
-        assert_eq!(parse.meta.span, spans[1].meta.span);
-        assert_eq!(parse.kind, TraceRecordKind::Timed(1_000));
+        assert_eq!(spans[1].detail, "color 1");
+        // The close carries the span's id and the caller's duration,
+        // which matches the open/close timestamps exactly.
+        let close = trace
+            .records
+            .iter()
+            .find(|r| r.kind == TraceRecordKind::SpanClose && r.name == "parse")
+            .unwrap();
+        assert_eq!(close.meta.span, spans[1].meta.span);
+        let nanos = close.meta.ts_ns - spans[1].meta.ts_ns;
+        assert_eq!(close.detail, format!("color 1, {nanos} ns"));
         // Timestamps are monotonic.
         let ts: Vec<u64> = trace.records.iter().map(|r| r.meta.ts_ns).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "non-monotonic: {ts:?}");
@@ -620,11 +605,12 @@ mod tests {
     fn per_trace_record_bound_truncates() {
         let buffer = TraceBuffer::with_capacity(2, 16);
         let tracer = SessionTracer::new();
-        let root = tracer.open(&buffer, "session");
+        let t0 = Instant::now();
+        let root = tracer.open(&buffer, Layer::Session, 1, t0);
         for _ in 0..64 {
             tracer.record(&buffer, &TraceEvent::WireBufReused);
         }
-        tracer.close(&buffer, root);
+        tracer.close(&buffer, root, Instant::now(), 0);
         let trace = buffer.latest().unwrap();
         assert_eq!(trace.records.len(), 16);
         assert!(buffer.truncated_records() > 0);
@@ -642,21 +628,20 @@ mod tests {
     fn span_scoped_sink_stamps_metadata() {
         let buffer = TraceBuffer::new();
         let tracer = SessionTracer::new();
-        let root = tracer.open(&buffer, "session");
+        let root = tracer.open(&buffer, Layer::Session, 1, Instant::now());
         {
             let scoped = SpanScopedSink::new(&tracer, &buffer);
-            scoped.record(&TraceEvent::Translate {
-                statements: 2,
-                nanos: 500,
+            scoped.record(&TraceEvent::DispatchProbe {
+                outcome: crate::ProbeOutcome::Hit,
             });
         }
-        tracer.close(&buffer, root);
+        tracer.close(&buffer, root, Instant::now(), 0);
         let trace = buffer.latest().unwrap();
-        let translate = trace
+        let probe = trace
             .records
             .iter()
-            .find(|r| r.name == "translate")
+            .find(|r| r.name == "dispatch-probe")
             .unwrap();
-        assert_eq!(translate.meta.span, trace.records[0].meta.span);
+        assert_eq!(probe.meta.span, trace.records[0].meta.span);
     }
 }

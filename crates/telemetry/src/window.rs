@@ -6,7 +6,7 @@
 //! none in the past minute is healthy; one failing ten per second right
 //! now is not. [`WindowAggregator`] is a [`TelemetrySink`] that buckets
 //! the lifecycle events the health model cares about (sessions
-//! started/finished/failed, accepts, accept errors, stalls, per-stage
+//! started/finished/failed/abandoned, accepts, accept errors, stalls, per-stage
 //! failures) into a ring of fixed-width time slots and sums the live
 //! slots on demand, yielding counts over a sliding window.
 //!
@@ -59,24 +59,13 @@ struct Slot {
     started: u64,
     finished: u64,
     failed: u64,
+    abandoned: u64,
     accepted: u64,
     accept_errors: u64,
     stalled: u64,
     /// Failure counts keyed by `CoreError::stage_label` (low
     /// cardinality by construction).
     by_stage: HashMap<String, u64>,
-}
-
-impl Slot {
-    fn clear(&mut self) {
-        self.started = 0;
-        self.finished = 0;
-        self.failed = 0;
-        self.accepted = 0;
-        self.accept_errors = 0;
-        self.stalled = 0;
-        self.by_stage.clear();
-    }
 }
 
 struct Ring {
@@ -97,6 +86,9 @@ pub struct WindowCounts {
     pub finished: u64,
     /// Traversals that failed (orderly ends excluded at the source).
     pub failed: u64,
+    /// Traversals that ended without finishing or failing (timeout,
+    /// closed connection, dropped session).
+    pub abandoned: u64,
     /// Client connections accepted.
     pub accepted: u64,
     /// Transient accept-loop errors.
@@ -105,16 +97,6 @@ pub struct WindowCounts {
     pub stalled: u64,
     /// Failures by stage label, sorted by stage name.
     pub failures_by_stage: Vec<(String, u64)>,
-}
-
-impl WindowCounts {
-    /// Failures per second over the window (0 for an empty window).
-    pub fn failure_rate(&self) -> f64 {
-        if self.window_secs == 0 {
-            return 0.0;
-        }
-        self.failed as f64 / self.window_secs as f64
-    }
 }
 
 /// A [`TelemetrySink`] maintaining sliding-window counts of lifecycle
@@ -169,6 +151,7 @@ impl WindowAggregator {
         let stage: Option<&str> = match *event {
             TraceEvent::SessionStarted
             | TraceEvent::SessionFinished { .. }
+            | TraceEvent::SessionAbandoned { .. }
             | TraceEvent::SessionAccepted
             | TraceEvent::AcceptError
             | TraceEvent::SessionStalled { .. } => None,
@@ -186,6 +169,7 @@ impl WindowAggregator {
         match *event {
             TraceEvent::SessionStarted => slot.started += 1,
             TraceEvent::SessionFinished { .. } => slot.finished += 1,
+            TraceEvent::SessionAbandoned { .. } => slot.abandoned += 1,
             TraceEvent::SessionFailed { .. } => {
                 slot.failed += 1;
                 let stage = stage.unwrap_or("unknown");
@@ -218,6 +202,7 @@ impl WindowAggregator {
             counts.started += slot.started;
             counts.finished += slot.finished;
             counts.failed += slot.failed;
+            counts.abandoned += slot.abandoned;
             counts.accepted += slot.accepted;
             counts.accept_errors += slot.accept_errors;
             counts.stalled += slot.stalled;
@@ -262,6 +247,7 @@ pub fn window_families(pair: &str, counts: &WindowCounts) -> Vec<MetricFamily> {
         gauge("starlink_window_sessions_started", counts.started),
         gauge("starlink_window_sessions_finished", counts.finished),
         gauge("starlink_window_sessions_failed", counts.failed),
+        gauge("starlink_window_sessions_abandoned", counts.abandoned),
         gauge("starlink_window_sessions_accepted", counts.accepted),
         gauge("starlink_window_accept_errors", counts.accept_errors),
         gauge("starlink_window_sessions_stalled", counts.stalled),
@@ -297,7 +283,7 @@ fn advance(ring: &mut Ring, idx: u64) {
     let steps = (idx - ring.head).min(len);
     for i in 1..=steps {
         let pos = ((ring.head + i) % len) as usize;
-        ring.slots[pos].clear();
+        ring.slots[pos] = Slot::default();
     }
     ring.head = idx;
 }
@@ -332,12 +318,19 @@ mod tests {
         let w = window();
         w.record_at(secs(1), &TraceEvent::SessionStarted);
         w.record_at(secs(3), &TraceEvent::SessionStarted);
+        w.record_at(
+            secs(3),
+            &TraceEvent::SessionAbandoned {
+                reason: crate::AbandonReason::Closed,
+            },
+        );
         w.record_at(secs(3), &TraceEvent::SessionFailed { stage: "mdl" });
         w.record_at(secs(4), &TraceEvent::SessionFailed { stage: "net" });
         w.record_at(secs(4), &TraceEvent::SessionFailed { stage: "mdl" });
         let c = w.counts_at(secs(5));
         assert_eq!(c.started, 2);
         assert_eq!(c.failed, 3);
+        assert_eq!(c.abandoned, 1);
         assert_eq!(
             c.failures_by_stage,
             vec![("mdl".to_owned(), 2), ("net".to_owned(), 1)]
@@ -371,9 +364,9 @@ mod tests {
         let w = window();
         w.record_at(
             secs(1),
-            &TraceEvent::Parse {
-                variant: "X",
-                wire_bytes: 4,
+            &TraceEvent::SpanClosed {
+                layer: crate::Layer::Parse,
+                color: 1,
                 nanos: 100,
             },
         );

@@ -2,7 +2,8 @@
 //! renders text that parses back to the identical snapshot.
 
 use starlink_telemetry::{
-    ProbeOutcome, Recorder, Snapshot, TelemetrySink, TraceEvent, TransitionKind,
+    AbandonReason, Layer, ProbeOutcome, Recorder, Snapshot, TelemetrySink, TraceEvent,
+    TransitionKind,
 };
 
 #[test]
@@ -23,20 +24,19 @@ fn realistic_event_mix_round_trips() {
                 ProbeOutcome::Hit
             },
         });
-        r.record(&TraceEvent::Parse {
-            variant: "GIOPRequest",
-            wire_bytes: 120 + i as usize,
+        r.record(&TraceEvent::SpanClosed {
+            layer: Layer::Parse,
+            color: 1,
             nanos: 900 * (i + 1),
         });
-        r.record(&TraceEvent::GammaExecuted {
-            from: "s1",
-            to: "s2",
-            statements: 4,
+        r.record(&TraceEvent::SpanClosed {
+            layer: Layer::Gamma,
+            color: 1,
             nanos: 40_000 + i,
         });
-        r.record(&TraceEvent::Compose {
-            variant: "HttpResponse",
-            wire_bytes: 300,
+        r.record(&TraceEvent::SpanClosed {
+            layer: Layer::Compose,
+            color: 2,
             nanos: 2_500,
         });
         r.record(&TraceEvent::WireOut {
@@ -52,6 +52,9 @@ fn realistic_event_mix_round_trips() {
         });
     }
     r.record(&TraceEvent::SessionFailed { stage: "net" });
+    r.record(&TraceEvent::SessionAbandoned {
+        reason: AbandonReason::Timeout,
+    });
 
     let snap = TelemetrySink::snapshot(&r).expect("recorder snapshots");
     let text = snap.render_text();
@@ -66,6 +69,27 @@ fn realistic_event_mix_round_trips() {
         Some(8)
     );
     assert_eq!(parsed.counter("starlink_active_sessions_peak"), 8);
+    assert_eq!(
+        parsed.value(
+            "starlink_sessions_abandoned_total",
+            &[("reason", "timeout")]
+        ),
+        Some(1)
+    );
     let parse_hist = parsed.family("starlink_parse_duration_ns").unwrap();
     assert_eq!(parse_hist.count, Some(50));
+    assert_eq!(
+        parsed.value(
+            "starlink_layer_sum_ns",
+            &[("layer", "compose"), ("color", "2")]
+        ),
+        Some(50 * 2_500)
+    );
+    assert_eq!(
+        parsed.value(
+            "starlink_layer_count",
+            &[("layer", "gamma"), ("color", "1")]
+        ),
+        Some(50)
+    );
 }

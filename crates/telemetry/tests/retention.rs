@@ -4,9 +4,10 @@
 
 use proptest::prelude::*;
 use starlink_telemetry::{
-    evaluate_pair, window_families, HealthInputs, HealthThresholds, Recorder, SessionTracer,
+    evaluate_pair, window_families, HealthInputs, HealthThresholds, Layer, Recorder, SessionTracer,
     Snapshot, TelemetrySink, TraceBuffer, TraceEvent, WindowCounts,
 };
+use std::time::Instant;
 
 /// Parses a lifecycle-ring entry's `+<nanos>ns ` prefix.
 fn ring_offset_ns(entry: &str) -> u64 {
@@ -21,7 +22,7 @@ fn trace_buffer_counts_every_truncated_record_exactly() {
     // 27 attempts, so exactly 11 must be dropped and tallied.
     let buffer = TraceBuffer::with_capacity(1, 16);
     let tracer = SessionTracer::new();
-    let root = tracer.open(&buffer, "session");
+    let root = tracer.open(&buffer, Layer::Session, 1, Instant::now());
     for i in 0..25u64 {
         tracer.record(
             &buffer,
@@ -31,7 +32,7 @@ fn trace_buffer_counts_every_truncated_record_exactly() {
             },
         );
     }
-    tracer.close(&buffer, root);
+    tracer.close(&buffer, root, Instant::now(), 0);
 
     assert_eq!(buffer.truncated_records(), 11);
     let trace = buffer.latest().expect("root close completes the trace");
@@ -43,8 +44,8 @@ fn trace_buffer_counts_every_truncated_record_exactly() {
     // A second, smaller session on the same buffer leaves the tally
     // untouched — truncation is counted per record, not per trace.
     let tracer = SessionTracer::new();
-    let root = tracer.open(&buffer, "session");
-    tracer.close(&buffer, root);
+    let root = tracer.open(&buffer, Layer::Session, 1, Instant::now());
+    tracer.close(&buffer, root, Instant::now(), 0);
     assert_eq!(buffer.truncated_records(), 11);
     assert_eq!(buffer.traces().len(), 1, "capacity 1 evicts the old trace");
 }
@@ -104,6 +105,7 @@ proptest! {
             started: sessions + failed,
             finished: sessions,
             failed,
+            abandoned: sessions / 2,
             accepted: sessions + failed,
             accept_errors,
             stalled,

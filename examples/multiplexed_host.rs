@@ -86,11 +86,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     host.shutdown();
     println!("\nhost shut down cleanly; all threads joined.");
 
-    println!("\n--- telemetry snapshot ---");
-    print!("{}", host.telemetry_snapshot().render_text());
+    // Every started traversal ended exactly once. Each client leaves one
+    // traversal open when it hangs up, counted as abandoned.
+    let snap = host.telemetry_snapshot();
+    let started = snap.counter("starlink_sessions_started_total");
+    let finished = snap.counter("starlink_sessions_finished_total");
+    let failed = snap.counter("starlink_sessions_failed_total");
+    let abandoned = snap.counter("starlink_sessions_abandoned_total");
+    println!("traversals: {started} started = {finished} finished + {failed} failed + {abandoned} abandoned");
+    assert_eq!(started, finished + failed + abandoned);
 
-    // Per-session causal trace of one completed session: accept →
-    // receive/parse → γ-translate → send on each color, as a span tree.
+    println!("\n--- telemetry snapshot ---");
+    print!("{}", snap.render_text());
+
+    // Per-session causal trace of one completed session: the wait,
+    // parse, unbind, γ, bind and compose layers on each color, as a
+    // span tree under the session root.
     // The very latest trace is the empty traversal parked when the
     // client hung up, so show the latest one that did translation work.
     let traced = traces
@@ -100,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .find(|t| t.span_names().contains(&"gamma"));
     if let Some(trace) = traced {
         println!("\n--- latest session trace ---");
-        print!("{}", render_timeline(&trace));
+        print!("{}", render_timeline(&chrome_events(&trace)));
         let captures = flight.captures(trace.session);
         println!("--- flight recorder ({} captures) ---", captures.len());
         for c in &captures {
