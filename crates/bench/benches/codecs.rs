@@ -182,8 +182,7 @@ fn bench_compose_reuse(c: &mut Criterion) {
 /// granularity).
 fn bench_sink_overhead(c: &mut Criterion) {
     use starlink_telemetry::{
-        FanoutSink, FlightRecorder, Recorder, SessionTracer, SpanScopedSink, TelemetrySink,
-        TraceBuffer,
+        FanoutSink, Recorder, SessionTracer, SpanScopedSink, TelemetrySink, TraceBuffer,
     };
     use std::sync::Arc;
 
@@ -228,15 +227,14 @@ fn bench_sink_overhead(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("recorder-sink", name), wire, |b, wire| {
             b.iter(|| traced.parse(wire).unwrap());
         });
-        // The full tracing stack installed by `Mediator::enable_tracing`:
-        // every probe event carries span metadata and fans out to the
-        // aggregate recorder, the trace buffer and the flight recorder
-        // (both per-trace bounded, so steady state is ring-buffer churn).
+        // The full stack of a traced host (`Mediator::enable_tracing`
+        // next to the host's recorder): every probe event carries span
+        // metadata and fans out to the one aggregate and the one
+        // retention (per-trace bounded, so steady state is buffer churn).
         group.bench_with_input(BenchmarkId::new("tracing-sink", name), wire, |b, wire| {
             let stack: Arc<dyn TelemetrySink> = Arc::new(FanoutSink::new(vec![
                 Arc::new(Recorder::new()) as Arc<dyn TelemetrySink>,
                 Arc::new(TraceBuffer::new()) as Arc<dyn TelemetrySink>,
-                Arc::new(FlightRecorder::new()) as Arc<dyn TelemetrySink>,
             ]));
             let tracer =
                 SessionTracer::for_sink(stack.as_ref()).expect("tracing stack wants spans");

@@ -11,9 +11,11 @@
 //!     --out <file>        write the merged model (DSL) instead of stdout
 //! starlink models <dir>                  load a model bundle, summarise
 //! starlink stats <endpoint-or-file>      fetch or parse a telemetry snapshot
-//! starlink trace <endpoint-or-file> [--export-json <path>]
+//! starlink trace <endpoint-or-file> [--failed] [--export-json <path>]
 //!                                        fetch or parse a Chrome trace, validate,
-//!                                        print a per-session timeline
+//!                                        print a per-session timeline (--failed:
+//!                                        each failed traversal's stage, layer,
+//!                                        automaton state and captured message)
 //! starlink health <endpoint-or-file> [--watch] [--interval <secs>] [--count <n>]
 //!                                        read the health gauges of a snapshot; exit
 //!                                        code 0 healthy / 1 degraded / 2 unhealthy
@@ -41,9 +43,10 @@ use starlink_message::equiv::SemanticRegistry;
 use starlink_mtl::MtlProgram;
 use starlink_net::{Endpoint, NetError, NetworkEngine};
 use starlink_telemetry::{
-    parse_chrome_trace, render_timeline, validate_chrome_trace, HealthCheck, HealthStatus, Layer,
-    PairHealth, Sample, Snapshot,
+    parse_chrome_trace, render_timeline, validate_chrome_trace, ChromeEvent, HealthCheck,
+    HealthStatus, Layer, PairHealth, Sample, Snapshot,
 };
+use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -86,9 +89,11 @@ USAGE:
   starlink merge <client.atm> <service.atm> [--registry <file>] [--loop] [--out <file>]
   starlink models <dir>                  load a model bundle, summarise
   starlink stats <endpoint-or-file>      fetch or parse a telemetry snapshot
-  starlink trace <endpoint-or-file> [--export-json <path>]
+  starlink trace <endpoint-or-file> [--failed] [--export-json <path>]
                                          fetch or parse a Chrome trace, validate,
-                                         print a per-session timeline
+                                         print a per-session timeline (--failed:
+                                         each failed traversal's stage, layer,
+                                         automaton state and captured message)
   starlink health <endpoint-or-file> [--watch] [--interval <secs>] [--count <n>]
                                          read the health gauges of a snapshot; exit
                                          code 0 healthy / 1 degraded / 2 unhealthy
@@ -437,9 +442,14 @@ fn format_ns(ns: f64) -> String {
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     let mut target: Option<String> = None;
     let mut export = None;
+    let mut failed = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
+            "--failed" => {
+                failed = true;
+                i += 1;
+            }
             "--export-json" => {
                 export = Some(
                     args.get(i + 1)
@@ -469,12 +479,94 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         stats.events, stats.span_pairs, stats.tracks
     );
     let events = parse_chrome_trace(&json).map_err(|e| format!("trace: {target}: {e}"))?;
-    print!("{}", render_timeline(&events));
+    if failed {
+        print!("{}", failure_report(&events));
+    } else {
+        print!("{}", render_timeline(&events));
+    }
     if let Some(path) = export {
         std::fs::write(&path, &json).map_err(|e| format!("trace: cannot write {path}: {e}"))?;
         eprintln!("trace: wrote {path} ({} bytes)", json.len());
     }
     Ok(())
+}
+
+/// Splits a trace export into traversals, in completion order: on each
+/// session track, everything up to the `E` that closes a root span.
+fn traversals(events: &[ChromeEvent]) -> Vec<Vec<&ChromeEvent>> {
+    let mut open: HashMap<u64, (usize, Vec<&ChromeEvent>)> = HashMap::new();
+    let mut done = Vec::new();
+    for event in events {
+        let (depth, records) = open.entry(event.tid).or_default();
+        records.push(event);
+        match event.ph {
+            'B' => *depth += 1,
+            'E' => {
+                *depth = depth.saturating_sub(1);
+                if *depth == 0 {
+                    done.push(std::mem::take(records));
+                }
+            }
+            _ => {}
+        }
+    }
+    done
+}
+
+/// One block per failed traversal: its session, stage and layer, the
+/// automaton state it failed in (the target of its last transition) and
+/// the last message it captured on the way in (`received` or
+/// `pre-gamma`), with that message's fields.
+fn failure_report(events: &[ChromeEvent]) -> String {
+    let mut out = String::new();
+    for traversal in traversals(events) {
+        let Some(failure) = traversal.iter().find(|e| e.name == "session-failed") else {
+            continue;
+        };
+        // The detail reads `stage=<stage> layer=<layer>`.
+        let detail = failure.arg("detail");
+        let part = |key: &str| {
+            detail
+                .split_whitespace()
+                .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+                .unwrap_or("?")
+        };
+        out.push_str(&format!(
+            "session {} failed: stage {} layer {}\n",
+            failure.tid,
+            part("stage"),
+            part("layer")
+        ));
+        // A transition's detail reads `<from> -> <to> (<kind>, color <c>)`.
+        let state = traversal
+            .iter()
+            .rev()
+            .find(|e| e.name == "transition")
+            .and_then(|e| e.arg("detail").split(" -> ").nth(1))
+            .and_then(|to| to.split(' ').next());
+        out.push_str(&format!(
+            "  state: {}\n",
+            state.unwrap_or("initial (no transition taken)")
+        ));
+        let message = traversal.iter().rev().find(|e| {
+            let detail = e.arg("detail");
+            e.name == "message"
+                && (detail.starts_with("received:") || detail.starts_with("pre-gamma:"))
+        });
+        match message {
+            Some(message) => {
+                out.push_str(&format!("  message {}\n", message.arg("detail")));
+                for (label, value) in message.fields() {
+                    out.push_str(&format!("    {label} = {value}\n"));
+                }
+            }
+            None => out.push_str("  message: none captured\n"),
+        }
+    }
+    if out.is_empty() {
+        out.push_str("# no failed traces\n");
+    }
+    out
 }
 
 fn cmd_health(args: &[String]) -> Result<ExitCode, String> {

@@ -270,6 +270,113 @@ fn error_frames_are_reported_as_errors() {
     assert!(stderr.contains("tracing not enabled"), "{stderr}");
 }
 
+/// A saved Chrome trace holding one good traversal and, on another
+/// session, one that failed in γ after receiving its request. Returns
+/// the file's path and the failed session's id.
+fn saved_trace_with_one_failure(dir: &std::path::Path) -> (PathBuf, u64) {
+    use starlink_telemetry::{
+        chrome_events, render_chrome_json, Layer, SessionTracer, TraceBuffer, TraceEvent,
+        TransitionKind,
+    };
+    use std::time::Instant;
+    let buffer = TraceBuffer::new();
+    let good = SessionTracer::new();
+    let root = good.open(&buffer, Layer::Session, 1, Instant::now());
+    good.record(
+        &buffer,
+        &TraceEvent::SessionFinished {
+            final_state: "s6",
+            exchanges: 4,
+        },
+    );
+    good.close(&buffer, root, Instant::now(), 0);
+
+    let failing = SessionTracer::new();
+    let root = failing.open(&buffer, Layer::Session, 1, Instant::now());
+    failing.record(
+        &buffer,
+        &TraceEvent::Transition {
+            from: "s0",
+            to: "s1",
+            kind: TransitionKind::Receive,
+            color: 1,
+        },
+    );
+    for stage in ["received", "pre-gamma"] {
+        failing.record(
+            &buffer,
+            &TraceEvent::MessageSnapshot {
+                stage,
+                message: "Add",
+                fields: "x=30\ny=12",
+            },
+        );
+    }
+    let gamma = failing.open(&buffer, Layer::Gamma, 1, Instant::now());
+    failing.record(
+        &buffer,
+        &TraceEvent::SessionFailed {
+            stage: "mtl",
+            layer: Layer::Gamma,
+        },
+    );
+    failing.close(&buffer, gamma, Instant::now(), 0);
+    failing.close(&buffer, root, Instant::now(), 0);
+
+    let events: Vec<_> = buffer.traces().iter().flat_map(chrome_events).collect();
+    let path = dir.join("trace.json");
+    std::fs::write(&path, render_chrome_json(&events)).unwrap();
+    (path, failing.session().0)
+}
+
+#[test]
+fn trace_failed_explains_the_failed_traversal() {
+    let dir = temp_dir("trace-failed");
+    let (path, failed) = saved_trace_with_one_failure(&dir);
+    let output = bin()
+        .arg("trace")
+        .arg("--failed")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains(&format!(
+            "session {failed} failed: stage mtl layer gamma\n  state: s1\n  message pre-gamma: Add\n    x = 30\n    y = 12\n"
+        )),
+        "{stdout}"
+    );
+    assert_eq!(stdout.matches(" failed: ").count(), 1, "{stdout}");
+
+    // Without --failed the same file prints the timeline.
+    let output = bin().arg("trace").arg(&path).output().unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        stdout.contains("session-failed stage=mtl layer=gamma"),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn trace_failed_reports_a_clean_trace() {
+    let dir = temp_dir("trace-clean");
+    let path = dir.join("trace.json");
+    std::fs::write(&path, r#"{"traceEvents":[]}"#).unwrap();
+    let output = bin()
+        .arg("trace")
+        .arg("--failed")
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("# no failed traces"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn stats_rejects_non_snapshot_file() {
     let dir = temp_dir("stats-bad");

@@ -64,14 +64,13 @@ pub use session_core::{
 };
 // Telemetry types appearing in this crate's public API (sinks are
 // injected through `SessionSpec` / `Mediator::with_telemetry`; snapshots
-// come back out of `MediatorHost::telemetry_snapshot`; traces come back
-// out of `MediatorHost::trace_buffer` / `flight_recorder` after
-// `Mediator::enable_tracing`).
+// come back out of `MediatorHost::telemetry_snapshot`; traces, failures
+// and message captures come back out of `MediatorHost::trace_buffer`
+// after `Mediator::enable_tracing`).
 pub use starlink_telemetry::{
-    noop_sink, FanoutSink, FlightRecorder, HealthCheck, HealthStatus, HealthThresholds,
-    MessageCapture, NoopSink, PairHealth, Recorder, SessionTrace, SessionTraceId, SessionTracer,
-    Snapshot, TelemetrySink, TraceBuffer, TraceEvent, TraceRecord, TraceRecordKind,
-    WindowAggregator, WindowConfig, WindowCounts,
+    noop_sink, FanoutSink, HealthCheck, HealthStatus, HealthThresholds, NoopSink, PairHealth,
+    Recorder, SessionTrace, SessionTraceId, SessionTracer, Snapshot, TelemetrySink, TraceBuffer,
+    TraceEvent, TraceRecord, TraceRecordKind, WindowConfig, WindowCounts,
 };
 
 /// Convenience result alias for this crate.

@@ -29,9 +29,9 @@ use starlink_mtl::MtlProgram;
 use starlink_net::channel::{self, Receiver, Sender};
 use starlink_net::{Connection, Endpoint, NetError, NetworkEngine};
 use starlink_telemetry::{
-    chrome_events, evaluate_pair, render_chrome_json, FanoutSink, FlightRecorder, HealthInputs,
+    chrome_events, evaluate_pair, render_chrome_json, window_families, FanoutSink, HealthInputs,
     PairHealth, Recorder, SessionTracer, Snapshot, TelemetrySink, TraceBuffer, TraceEvent,
-    WindowAggregator, WindowCounts,
+    WindowCounts,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -59,11 +59,10 @@ pub struct Mediator {
     /// Installed by [`Mediator::enable_tracing`]; handed to the host at
     /// deployment so callers can read traces back.
     trace_buffer: Option<Arc<TraceBuffer>>,
-    flight: Option<Arc<FlightRecorder>>,
     /// Installed by [`Mediator::enable_ops`]; handed to the host at
-    /// deployment, which builds the watchdog/health runtime from it.
+    /// deployment, which builds the window/watchdog/health runtime from
+    /// it.
     ops: Option<OpsConfig>,
-    window: Option<Arc<WindowAggregator>>,
 }
 
 impl Mediator {
@@ -121,53 +120,39 @@ impl Mediator {
             net,
             timeout: Duration::from_secs(10),
             trace_buffer: None,
-            flight: None,
             ops: None,
-            window: None,
         })
     }
 
-    /// Switches on the operations plane: installs a sliding-window
-    /// aggregator (labelled with the merged automaton's name) next to
-    /// whatever sink is already injected, and records the watchdog
-    /// policy and health thresholds for the host to pick up at
-    /// deployment. Returns the window; after deployment the host serves
-    /// its rates, the stall watchdog, the live session directory and the
+    /// Switches on the operations plane: records the window shape,
+    /// watchdog policy and health thresholds for the host to pick up at
+    /// deployment. It installs no sink — the host derives its windowed
+    /// counts (labelled with the merged automaton's name) from the
+    /// recorder every host keeps. After deployment the host serves the
+    /// window, the stall watchdog, the live session directory and the
     /// health gauges through [`MediatorHost::expose_diagnostics`].
-    /// Idempotent — calling twice returns the already-installed window
-    /// (the first config wins).
-    pub fn enable_ops(&mut self, config: OpsConfig) -> Arc<WindowAggregator> {
-        if let Some(window) = &self.window {
-            return window.clone();
-        }
-        let window = Arc::new(WindowAggregator::new(
-            self.spec.automaton.name(),
-            config.window,
-        ));
-        self.add_sinks(vec![window.clone()]);
-        self.ops = Some(config);
-        self.window = Some(window.clone());
-        window
+    /// Idempotent — the first config wins.
+    pub fn enable_ops(&mut self, config: OpsConfig) {
+        self.ops.get_or_insert(config);
     }
 
-    /// Switches on per-session causal tracing: installs a
-    /// [`TraceBuffer`] (span trees of the last N completed sessions) and
-    /// a [`FlightRecorder`] (bounded per-session message captures pre-
-    /// and post-γ), fanned out with whatever sink is already injected.
-    /// Returns both stores; after deployment they are also reachable via
-    /// [`MediatorHost::trace_buffer`] and
-    /// [`MediatorHost::flight_recorder`]. Idempotent — calling twice
-    /// returns the already-installed pair.
-    pub fn enable_tracing(&mut self) -> (Arc<TraceBuffer>, Arc<FlightRecorder>) {
-        if let (Some(buffer), Some(flight)) = (&self.trace_buffer, &self.flight) {
-            return (buffer.clone(), flight.clone());
+    /// Switches on per-session causal tracing: installs `buffer` — span
+    /// trees of the last N completed sessions, a reservoir of the last
+    /// failed ones per stage, and message captures pre- and post-γ,
+    /// passed through the buffer's redaction hook
+    /// ([`TraceBuffer::with_redaction`]) — fanned out with whatever sink
+    /// is already injected. Returns the buffer; after deployment it is
+    /// also reachable via [`MediatorHost::trace_buffer`] and served by
+    /// the diagnostics endpoint's `traces` selector. Idempotent — the
+    /// first buffer wins, and later calls return it.
+    pub fn enable_tracing(&mut self, buffer: TraceBuffer) -> Arc<TraceBuffer> {
+        if let Some(installed) = &self.trace_buffer {
+            return installed.clone();
         }
-        let buffer = Arc::new(TraceBuffer::new());
-        let flight = Arc::new(FlightRecorder::new());
-        self.add_sinks(vec![buffer.clone(), flight.clone()]);
+        let buffer = Arc::new(buffer);
+        self.add_sink(buffer.clone());
         self.trace_buffer = Some(buffer.clone());
-        self.flight = Some(flight.clone());
-        (buffer, flight)
+        buffer
     }
 
     /// The merged automaton this mediator executes.
@@ -196,18 +181,14 @@ impl Mediator {
     }
 
     /// Installs `added` next to the current sink, which is kept only when
-    /// enabled; a [`FanoutSink`] joins them when more than one remains.
-    /// Returns the installed sink.
-    fn add_sinks(&mut self, added: Vec<Arc<dyn TelemetrySink>>) -> Arc<dyn TelemetrySink> {
+    /// enabled (a [`FanoutSink`] joins the two). Returns the installed
+    /// sink.
+    fn add_sink(&mut self, added: Arc<dyn TelemetrySink>) -> Arc<dyn TelemetrySink> {
         let existing = self.telemetry();
-        let mut sinks = Vec::with_capacity(added.len() + 1);
-        if existing.enabled() {
-            sinks.push(existing);
-        }
-        sinks.extend(added);
-        let sink: Arc<dyn TelemetrySink> = match sinks.len() {
-            1 => sinks.remove(0),
-            _ => Arc::new(FanoutSink::new(sinks)),
+        let sink: Arc<dyn TelemetrySink> = if existing.enabled() {
+            Arc::new(FanoutSink::new(vec![existing, added]))
+        } else {
+            added
         };
         self.set_telemetry(sink.clone());
         sink
@@ -253,8 +234,6 @@ impl Mediator {
 pub struct MediatorHost {
     endpoint: Endpoint,
     stop: Arc<AtomicBool>,
-    /// Present when [`Mediator::enable_tracing`] ran before deployment.
-    flight: Option<Arc<FlightRecorder>>,
     /// Everything the diagnostics endpoint needs (including the host's
     /// sink), cloneable into its serving thread.
     diag: DiagState,
@@ -269,7 +248,7 @@ fn install_recorder(mediator: &mut Mediator) -> Arc<dyn TelemetrySink> {
     if existing.snapshot().is_some() {
         return existing;
     }
-    mediator.add_sinks(vec![Arc::new(Recorder::new())])
+    mediator.add_sink(Arc::new(Recorder::new()))
 }
 
 /// Builds the deployment's operations runtime from the mediator's
@@ -278,7 +257,6 @@ fn install_recorder(mediator: &mut Mediator) -> Arc<dyn TelemetrySink> {
 /// traversal (which would reset the wait unobserved).
 fn build_ops(mediator: &Mediator, telemetry: &Arc<dyn TelemetrySink>) -> Option<Arc<OpsRuntime>> {
     let config = mediator.ops?;
-    let window = mediator.window.clone()?;
     let watchdog = config.watchdog.map(|mut wd| {
         if wd.stall_after >= mediator.timeout {
             wd.stall_after = (mediator.timeout / 2).max(Duration::from_millis(1));
@@ -286,7 +264,7 @@ fn build_ops(mediator: &Mediator, telemetry: &Arc<dyn TelemetrySink>) -> Option<
         wd
     });
     Some(Arc::new(OpsRuntime::new(
-        window,
+        config.window,
         config.thresholds,
         watchdog,
         telemetry.clone(),
@@ -346,27 +324,17 @@ impl DiagState {
     }
 
     /// Lifecycle counts feeding the health model: the sliding window
-    /// when ops are enabled, else lifetime counters recast as a window
-    /// of unspecified length (`window_secs` 0 — absolute thresholds
-    /// still grade, rate-denominated ones see totals).
+    /// when ops are enabled, else the lifetime counters as a window of
+    /// unspecified length (`window_secs` 0 — absolute thresholds still
+    /// grade, rate-denominated ones see totals).
     fn window_counts(&self, lifetime: &Snapshot) -> WindowCounts {
         match &self.ops {
-            Some(ops) => ops.window.counts(),
-            None => WindowCounts {
-                window_secs: 0,
-                started: lifetime.counter("starlink_sessions_started_total"),
-                finished: lifetime.counter("starlink_sessions_finished_total"),
-                failed: lifetime.counter("starlink_sessions_failed_total"),
-                abandoned: lifetime.counter("starlink_sessions_abandoned_total"),
-                accepted: lifetime.counter("starlink_sessions_accepted_total"),
-                accept_errors: lifetime.counter("starlink_accept_errors_total"),
-                stalled: lifetime.counter("starlink_sessions_stalled_total"),
-                failures_by_stage: Vec::new(),
-            },
+            Some(ops) => ops.window_counts(lifetime),
+            None => WindowCounts::from_snapshot(lifetime),
         }
     }
 
-    fn health(&self, lifetime: &Snapshot) -> PairHealth {
+    fn health(&self, window: WindowCounts) -> PairHealth {
         let thresholds = self.ops.as_ref().map(|o| o.thresholds).unwrap_or_default();
         let stalled_now = self
             .ops
@@ -375,7 +343,7 @@ impl DiagState {
             .unwrap_or(0);
         let inputs = HealthInputs {
             pair: self.pair.clone(),
-            window: self.window_counts(lifetime),
+            window,
             queue_depth: self.queue_depth.load(Ordering::SeqCst) as u64,
             queue_capacity: self.queue_capacity as u64,
             stalled_now,
@@ -383,14 +351,15 @@ impl DiagState {
         evaluate_pair(&inputs, &thresholds)
     }
 
-    /// The recorder's lifetime families plus windowed rates and health
+    /// The recorder's lifetime families plus windowed counts and health
     /// gauges — the `stats` selector's payload.
     fn snapshot(&self) -> Snapshot {
         let mut snap = self.telemetry.snapshot().unwrap_or_default();
-        let health = self.health(&snap);
-        if let Some(ops) = &self.ops {
-            snap.families.extend(ops.window.families());
+        let window = self.window_counts(&snap);
+        if self.ops.is_some() {
+            snap.families.extend(window_families(&self.pair, &window));
         }
+        let health = self.health(window);
         snap.families.extend(health.families());
         snap
     }
@@ -441,7 +410,6 @@ impl MediatorHost {
         let listener = mediator.net.listen(listen)?;
         let endpoint = listener.local_endpoint();
         let diag = DiagState::new(&mut mediator, 0);
-        let flight = mediator.flight.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let accept_stop = stop.clone();
         let accept_ops = diag.ops.clone();
@@ -450,6 +418,9 @@ impl MediatorHost {
             let sink = mediator.spec.telemetry.clone();
             let mut session_threads: Vec<JoinHandle<()>> = Vec::new();
             while !accept_stop.load(Ordering::SeqCst) {
+                if let Some(ops) = &accept_ops {
+                    ops.tick();
+                }
                 let mut conn = match listener.try_accept() {
                     Ok(Some(c)) => c,
                     Ok(None) => {
@@ -503,7 +474,6 @@ impl MediatorHost {
         Ok(MediatorHost {
             endpoint,
             stop,
-            flight,
             diag,
             threads: Mutex::new(vec![accept_thread]),
         })
@@ -534,7 +504,6 @@ impl MediatorHost {
         // coordinator's send blocks until a slot frees up.
         let queue_capacity = max_workers * 2;
         let diag = DiagState::new(&mut mediator, queue_capacity);
-        let flight = mediator.flight.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let (jobs_tx, jobs_rx) = channel::bounded::<Job>(queue_capacity);
         let (done_tx, done_rx) = channel::unbounded::<MuxSession>();
@@ -571,7 +540,6 @@ impl MediatorHost {
         Ok(MediatorHost {
             endpoint,
             stop,
-            flight,
             diag,
             threads: Mutex::new(threads),
         })
@@ -588,16 +556,11 @@ impl MediatorHost {
         self.diag.telemetry.clone()
     }
 
-    /// Span trees of the last N completed sessions, when
+    /// Span trees of the last N completed sessions and the last failed
+    /// ones, with their message captures, when
     /// [`Mediator::enable_tracing`] ran before deployment.
     pub fn trace_buffer(&self) -> Option<Arc<TraceBuffer>> {
         self.diag.trace_buffer.clone()
-    }
-
-    /// Per-session message captures (pre-/post-γ), when
-    /// [`Mediator::enable_tracing`] ran before deployment.
-    pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.flight.clone()
     }
 
     /// A point-in-time aggregate of everything the host reports: session
@@ -605,7 +568,7 @@ impl MediatorHost {
     /// completed traversals), transition and γ-translation rates,
     /// parse/compose latency histograms, wire volume, pool reuse,
     /// host-level accept/queue gauges, the operations plane's windowed
-    /// rates (when ops are enabled) and the health gauges. This is what
+    /// counts (when ops are enabled) and the health gauges. This is what
     /// the `stats` diagnostics selector serves; render with
     /// [`Snapshot::render_text`] for the Prometheus-style exposition the
     /// `starlink stats` and `starlink health` commands consume.
@@ -614,14 +577,14 @@ impl MediatorHost {
     }
 
     /// The host's health: the sliding window's failure and accept-error
-    /// rates, queue saturation and the stall watchdog's live count
+    /// counts, queue saturation and the stall watchdog's live count
     /// graded against the configured [`crate::OpsConfig`] thresholds
     /// (defaults when ops were not enabled). The same verdict is
     /// exported as the `starlink_health_*` gauges of
     /// [`MediatorHost::telemetry_snapshot`].
     pub fn health_report(&self) -> PairHealth {
-        self.diag
-            .health(&self.diag.telemetry.snapshot().unwrap_or_default())
+        let lifetime = self.diag.telemetry.snapshot().unwrap_or_default();
+        self.diag.health(self.diag.window_counts(&lifetime))
     }
 
     /// Serves the diagnostics endpoint at `listen`. Every accepted
@@ -864,6 +827,9 @@ fn coordinator_loop(
         jobs.send(Job { session, event }).is_ok()
     };
     while !stop.load(Ordering::SeqCst) {
+        if let Some(ops) = ops {
+            ops.tick();
+        }
         let mut progressed = false;
         // 1. Workers hand back sessions parked on a receive.
         while let Ok(session) = done.try_recv() {

@@ -1,14 +1,19 @@
 //! Operations-plane configuration and the live session directory.
 //!
-//! The telemetry crate owns the *mechanisms* — sliding windows
-//! ([`starlink_telemetry::WindowAggregator`]), the health model
+//! The telemetry crate owns the *mechanisms* — the host's one aggregate
+//! ([`starlink_telemetry::Recorder`]), the sliding window derived from
+//! its counters ([`starlink_telemetry::CounterWindow`]), the health model
 //! ([`starlink_telemetry::PairHealth`]) — while this module owns the
-//! *policy* a deployment opts into: how long an awaiting session may sit
-//! silent before the watchdog flags it ([`WatchdogConfig`]), whether a
-//! flagged session is merely observed or aborted so its worker slot is
-//! reclaimed ([`StallPolicy`]), which thresholds grade the health report,
-//! and the [`SessionDirectory`] the diagnostics endpoint renders for the
-//! `sessions` selector.
+//! *policy* a deployment opts into: the window's shape, how long an
+//! awaiting session may sit silent before the watchdog flags it
+//! ([`WatchdogConfig`]), whether a flagged session is merely observed or
+//! aborted so its worker slot is reclaimed ([`StallPolicy`]), which
+//! thresholds grade the health report, and the [`SessionDirectory`] the
+//! diagnostics endpoint renders for the `sessions` selector.
+//!
+//! The window adds no sink: the host samples the recorder's cumulative
+//! counters on each diagnostics read and whenever its accept loop (or
+//! the multiplexed coordinator) wakes past a slot boundary.
 //!
 //! Everything here is opt-in via `Mediator::enable_ops`; a mediator that
 //! never calls it pays nothing (the engine's no-op-sink gate stays one
@@ -18,7 +23,8 @@ use crate::error::CoreError;
 use crate::session_core::SessionCore;
 use crate::Result;
 use starlink_telemetry::{
-    HealthThresholds, TelemetrySink, TraceEvent, WindowAggregator, WindowConfig,
+    CounterWindow, HealthThresholds, Snapshot, TelemetrySink, TraceEvent, WindowConfig,
+    WindowCounts,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -66,7 +72,7 @@ impl Default for WatchdogConfig {
 /// policy, and health thresholds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpsConfig {
-    /// Sliding-window shape for rate aggregation.
+    /// Sliding-window shape for the windowed counts.
     pub window: WindowConfig,
     /// Stall watchdog; `None` disables the sweep (windows and health
     /// still work, minus the stalled-session signal).
@@ -102,12 +108,13 @@ impl OpsConfig {
 }
 
 /// The operations plane a deployed host threads through to its drivers:
-/// the shared window aggregator, the stall watchdog's policy and live
-/// gauge, the session directory, and the sink the watchdog emits gauge
-/// updates through. Built once per deployment from the mediator's
-/// [`OpsConfig`]; hosts and drivers share it behind an `Arc`.
+/// the counter window, the stall watchdog's policy and live gauge, the
+/// session directory, and the host's aggregating sink, which the window
+/// samples and the watchdog emits gauge updates through. Built once per
+/// deployment from the mediator's [`OpsConfig`]; hosts and drivers share
+/// it behind an `Arc`.
 pub(crate) struct OpsRuntime {
-    pub window: Arc<WindowAggregator>,
+    window: CounterWindow,
     pub thresholds: HealthThresholds,
     pub watchdog: Option<WatchdogConfig>,
     pub directory: SessionDirectory,
@@ -118,19 +125,39 @@ pub(crate) struct OpsRuntime {
 
 impl OpsRuntime {
     pub(crate) fn new(
-        window: Arc<WindowAggregator>,
+        window: WindowConfig,
         thresholds: HealthThresholds,
         watchdog: Option<WatchdogConfig>,
         sink: Arc<dyn TelemetrySink>,
     ) -> OpsRuntime {
         OpsRuntime {
-            window,
+            window: CounterWindow::new(window),
             thresholds,
             watchdog,
             directory: SessionDirectory::new(),
             sink,
             stalled_now: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
+        }
+    }
+
+    /// Counts over the window ending now, sampling `lifetime` (the host
+    /// sink's snapshot) on the way.
+    pub(crate) fn window_counts(&self, lifetime: &Snapshot) -> WindowCounts {
+        let now = self.window.elapsed();
+        self.window
+            .observe(now, WindowCounts::from_snapshot(lifetime))
+    }
+
+    /// Called by the host loops on every wake-up: samples the counters
+    /// once a slot boundary has passed, so the window keeps its
+    /// baselines however rarely it is read.
+    pub(crate) fn tick(&self) {
+        let now = self.window.elapsed();
+        if self.window.due(now) {
+            let lifetime = self.sink.snapshot().unwrap_or_default();
+            self.window
+                .observe(now, WindowCounts::from_snapshot(&lifetime));
         }
     }
 

@@ -156,10 +156,10 @@ pub struct SessionPersist {
     /// steady-state sends reuse capacity instead of allocating.
     pub wire_pool: Vec<Vec<u8>>,
     /// Per-session trace context. Minted by drivers at accept time (or
-    /// lazily by [`SessionCore::new`]) when the sink consumes spans or
-    /// message snapshots; `None` for purely aggregate sinks, keeping
-    /// their per-event cost unchanged. Lives here so successive
-    /// traversals on a kept-alive connection share one session trace id.
+    /// lazily by [`SessionCore::new`]) when the sink retains traces;
+    /// `None` for purely aggregate sinks, keeping their per-event cost
+    /// unchanged. Lives here so successive traversals on a kept-alive
+    /// connection share one session trace id.
     pub tracer: Option<SessionTracer>,
 }
 
@@ -452,17 +452,19 @@ impl SessionCore {
         }
     }
 
-    /// Reports a traversal failure and completes the trace. The outcomes
-    /// that are part of normal operation count as abandoned instead: a
-    /// receive timeout restarts the traversal, a closed connection is how
-    /// clients hang up, and [`CoreError::HostStopped`] is orderly
-    /// shutdown.
+    /// Reports a traversal failure, naming the layer it arose in (the
+    /// open leaf, or the session itself outside any leaf), and completes
+    /// the trace. The outcomes that are part of normal operation count
+    /// as abandoned instead: a receive timeout restarts the traversal, a
+    /// closed connection is how clients hang up, and
+    /// [`CoreError::HostStopped`] is orderly shutdown.
     pub(crate) fn record_failure(&mut self, err: &CoreError) {
         if let Some(reason) = err.abandon_reason() {
             self.end_traversal(reason);
         } else if self.observed() {
             self.emit(&TraceEvent::SessionFailed {
                 stage: err.stage_label(),
+                layer: self.leaf.as_ref().map_or(Layer::Session, |leaf| leaf.layer),
             });
             self.close_root();
         }
@@ -476,9 +478,9 @@ impl SessionCore {
     }
 
     /// Captures an abstract message crossing the mediator as a
-    /// [`TraceEvent::MessageSnapshot`]. Callers gate on
-    /// [`TelemetrySink::wants_messages`] — rendering fields is the most
-    /// expensive instrumentation the engine performs.
+    /// [`TraceEvent::MessageSnapshot`] — only when the session is traced,
+    /// since rendering fields is the most expensive instrumentation the
+    /// engine performs.
     fn snapshot_message(&self, stage: &'static str, msg: &AbstractMessage) {
         let Some(tracer) = &self.persist.tracer else {
             return;
@@ -607,9 +609,7 @@ impl SessionCore {
             let template = spec.templates.get(&format!("{op}.reply"));
             cfg.binding.unbind_reply(&proto, &op, template)?
         };
-        if traced && spec.telemetry.wants_messages() {
-            self.snapshot_message("received", &app);
-        }
+        self.snapshot_message("received", &app);
         let outgoing: Vec<&Transition> = spec.automaton.transitions_from(&self.current).collect();
         let matching = outgoing.iter().find(|t| {
             t.action
@@ -708,13 +708,10 @@ impl SessionCore {
             0
         };
         self.enter(Layer::Gamma, color);
-        let snapshot_messages = traced && spec.telemetry.wants_messages();
-        if snapshot_messages {
-            // The message the γ translates *from* is the most recently
-            // observed one.
-            if let Some(entry) = self.history.last() {
-                self.snapshot_message("pre-gamma", &entry.message);
-            }
+        // The message the γ translates *from* is the most recently
+        // observed one.
+        if let Some(entry) = self.history.last() {
+            self.snapshot_message("pre-gamma", &entry.message);
         }
         let program = spec
             .gammas
@@ -746,9 +743,7 @@ impl SessionCore {
             self.persist.host_override = Some(host);
         }
         if let Some(msg) = output {
-            if snapshot_messages {
-                self.snapshot_message("post-gamma", &msg);
-            }
+            self.snapshot_message("post-gamma", &msg);
             self.pending.insert(to.to_owned(), msg);
         }
         Ok(())
@@ -772,9 +767,7 @@ impl SessionCore {
             .remove(&self.current)
             .unwrap_or_else(|| AbstractMessage::new(template.name()));
         app.set_name(template.name());
-        if traced && spec.telemetry.wants_messages() {
-            self.snapshot_message("sent", &app);
-        }
+        self.snapshot_message("sent", &app);
         let cfg = color_config(spec, color)?;
         let to_client = color == spec.client_color;
         let proto = if to_client {

@@ -6,7 +6,7 @@ use starlink_automata::merge::{template, MergeBuilder};
 use starlink_core::{
     ActionRule, ColorRuntime, HealthStatus, Mediator, MediatorHost, OpsConfig, PairHealth,
     ParamRule, ProtocolBinding, ReplyAction, RpcClient, RpcServer, ServiceHandler,
-    ServiceInterface, Snapshot,
+    ServiceInterface, Snapshot, TraceBuffer,
 };
 use starlink_mdl::MdlCodec;
 use starlink_message::{AbstractMessage, Value};
@@ -307,7 +307,7 @@ fn threaded_host_watchdog_flags_silent_peer() {
 fn diagnostics_endpoint_answers_every_selector() {
     let (net, mediator) = service_and_mediator("diag");
     let mut mediator = mediator;
-    mediator.enable_tracing();
+    mediator.enable_tracing(TraceBuffer::new());
     mediator.enable_ops(OpsConfig::default());
     let host =
         MediatorHost::deploy_multiplexed(mediator, &Endpoint::memory("diag-bridge"), 2).unwrap();

@@ -1,22 +1,24 @@
 //! Per-session causal tracing, end to end: a replayed Add→Plus session
 //! must yield a span tree of wait → parse → unbind → γ → bind → compose
 //! layers on both colors, tiling the session root, with monotonic
-//! timestamps, the
-//! flight recorder must show each message before and after γ, and the
-//! exported Chrome trace must validate with balanced span pairs.
+//! timestamps, the trace must capture each message before and after γ,
+//! and the exported Chrome trace must validate with balanced span pairs.
+//! A failed session stays in the trace buffer, with its stage, layer and
+//! captured message, however many good sessions follow it.
 
 use starlink_automata::merge::{template, MergeBuilder};
 use starlink_automata::Automaton;
 use starlink_core::{
     ActionRule, ColorRuntime, Mediator, MediatorHost, ParamRule, ProtocolBinding, ReplyAction,
     RpcClient, RpcServer, ServiceHandler, ServiceInterface, SessionCore, SessionEvent,
-    SessionPersist,
+    SessionPersist, SessionTrace, TraceBuffer, TraceRecord,
 };
 use starlink_mdl::{MdlCodec, MessageCodec};
 use starlink_message::{AbstractMessage, Value};
 use starlink_net::{Endpoint, MemoryTransport, NetworkEngine};
 use starlink_telemetry::{
-    chrome_events, render_chrome_json, validate_chrome_trace, TraceRecordKind,
+    chrome_events, parse_chrome_trace, render_chrome_json, validate_chrome_trace, ChromeEvent,
+    TraceRecordKind,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -144,7 +146,7 @@ fn replayed_session_produces_full_causal_trace() {
         NetworkEngine::new(), // never touched: the core does no I/O
     )
     .unwrap();
-    let (traces, flight) = mediator.enable_tracing();
+    let traces = mediator.enable_tracing(TraceBuffer::new());
 
     let mut core = SessionCore::new(mediator.session_spec(), SessionPersist::new()).unwrap();
     core.start().unwrap();
@@ -245,37 +247,43 @@ fn replayed_session_produces_full_causal_trace() {
     }
     assert!(trace.records.iter().any(|r| r.name == "session-finished"));
 
-    // Flight recorder: both γ-translations captured before and after
-    // translation, with field values.
-    let caps = flight.captures(trace.session);
-    let stages: Vec<(&str, &str)> = caps
-        .iter()
-        .map(|c| (c.stage.as_str(), c.message.as_str()))
-        .collect();
+    // Message captures: both γ-translations captured before and after
+    // translation, with field values, as instant records of the trace.
+    let caps = captures(&trace);
+    let stages: Vec<&str> = caps.iter().map(|c| c.detail.as_str()).collect();
     assert_eq!(
         stages,
         vec![
-            ("received", "Add"),
-            ("pre-gamma", "Add"),
-            ("post-gamma", "Plus"),
-            ("sent", "Plus"),
-            ("received", "Plus.reply"),
-            ("pre-gamma", "Plus.reply"),
-            ("post-gamma", "Add.reply"),
-            ("sent", "Add.reply"),
+            "received: Add",
+            "pre-gamma: Add",
+            "post-gamma: Plus",
+            "sent: Plus",
+            "received: Plus.reply",
+            "pre-gamma: Plus.reply",
+            "post-gamma: Add.reply",
+            "sent: Add.reply",
         ]
     );
     let pre = &caps[1];
-    assert!(pre.fields.contains(&("x".into(), "30".into())), "{pre:?}");
-    assert!(pre.fields.contains(&("y".into(), "12".into())), "{pre:?}");
+    assert!(pre.args.contains(&("x".into(), "30".into())), "{pre:?}");
+    assert!(pre.args.contains(&("y".into(), "12".into())), "{pre:?}");
     let post = &caps[6];
-    assert!(post.fields.contains(&("z".into(), "42".into())), "{post:?}");
+    assert!(post.args.contains(&("z".into(), "42".into())), "{post:?}");
 
     // Chrome export: valid, balanced, one session track.
     let json = render_chrome_json(&chrome_events(&trace));
     let stats = validate_chrome_trace(&json).expect("valid Chrome trace");
     assert_eq!(stats.span_pairs, 13);
     assert_eq!(stats.tracks, 1);
+}
+
+/// A trace's message captures, in capture order.
+fn captures(trace: &SessionTrace) -> Vec<&TraceRecord> {
+    trace
+        .records
+        .iter()
+        .filter(|r| r.name == "message")
+        .collect()
 }
 
 fn plus_interface() -> ServiceInterface {
@@ -296,6 +304,10 @@ fn add_interface() -> ServiceInterface {
     ServiceInterface::new().with_operation(add, reply)
 }
 
+/// The `x` that makes the Plus service reply without `z`, so the
+/// mediator fails that session after translating its request.
+const FAILING_X: i64 = 13;
+
 fn plus_handler() -> Arc<ServiceHandler> {
     Arc::new(|req| {
         let x: i64 = req
@@ -309,7 +321,9 @@ fn plus_handler() -> Arc<ServiceHandler> {
             .and_then(|t| t.parse().ok())
             .ok_or("bad y")?;
         let mut reply = AbstractMessage::new("Plus.reply");
-        reply.set_field("z", Value::Int(x + y));
+        if x != FAILING_X {
+            reply.set_field("z", Value::Int(x + y));
+        }
         Ok(reply)
     })
 }
@@ -343,11 +357,10 @@ fn service_and_mediator(ns: &str) -> (NetworkEngine, Mediator) {
 #[test]
 fn host_exposes_traces_as_chrome_json_over_the_network() {
     let (net, mut mediator) = service_and_mediator("traced");
-    mediator.enable_tracing();
+    mediator.enable_tracing(TraceBuffer::new());
     let host =
         MediatorHost::deploy_multiplexed(mediator, &Endpoint::memory("traced-bridge"), 2).unwrap();
     let traces = host.trace_buffer().expect("tracing was enabled");
-    assert!(host.flight_recorder().is_some());
     let diag_ep = host
         .expose_diagnostics(&net, &Endpoint::memory("traced-diag"))
         .unwrap();
@@ -381,6 +394,16 @@ fn host_exposes_traces_as_chrome_json_over_the_network() {
     let stats = validate_chrome_trace(&json).expect("served trace is valid Chrome JSON");
     assert!(stats.events > 0);
     assert!(stats.span_pairs >= 13, "span pairs: {}", stats.span_pairs);
+    // The served export carries the captures, fields as event args.
+    let events = parse_chrome_trace(&json).unwrap();
+    let pre_gamma = events
+        .iter()
+        .find(|e| e.name == "message" && e.arg("detail") == "pre-gamma: Add")
+        .expect("pre-γ capture exported");
+    assert_eq!(pre_gamma.arg("x"), "20");
+    assert!(captures(&traces.latest().unwrap())
+        .iter()
+        .any(|c| c.detail == "sent: Add.reply"));
     host.shutdown();
 }
 
@@ -389,7 +412,6 @@ fn untraced_host_has_no_trace_surface() {
     let (net, mediator) = service_and_mediator("untraced");
     let host = MediatorHost::deploy(mediator, &Endpoint::memory("untraced-bridge")).unwrap();
     assert!(host.trace_buffer().is_none());
-    assert!(host.flight_recorder().is_none());
     let diag_ep = host
         .expose_diagnostics(&net, &Endpoint::memory("untraced-diag"))
         .unwrap();
@@ -401,4 +423,145 @@ fn untraced_host_has_no_trace_surface() {
         "unexpected frame: {frame}"
     );
     host.shutdown();
+}
+
+fn add_call(net: &NetworkEngine, endpoint: &Endpoint, x: i64, y: i64) -> Result<String, String> {
+    let mut client = RpcClient::connect(
+        net,
+        endpoint,
+        Arc::new(MdlCodec::from_text(GIOPISH_MDL).unwrap()),
+        giop_binding(),
+        add_interface(),
+    )
+    .unwrap();
+    let mut request = AbstractMessage::new("Add");
+    request.set_field("x", Value::Int(x));
+    request.set_field("y", Value::Int(y));
+    let reply = client.call(&request).map_err(|e| e.to_string())?;
+    Ok(reply.get("z").unwrap().to_text())
+}
+
+#[test]
+fn a_failed_session_outlives_a_hundred_good_ones_on_both_host_shapes() {
+    type Deploy = fn(Mediator, &Endpoint) -> MediatorHost;
+    let shapes: [(&str, Deploy); 2] = [
+        ("failure-threaded", |m, ep| {
+            MediatorHost::deploy(m, ep).unwrap()
+        }),
+        ("failure-mux", |m, ep| {
+            MediatorHost::deploy_multiplexed(m, ep, 2).unwrap()
+        }),
+    ];
+    for (name, deploy) in shapes {
+        let (net, mut mediator) = service_and_mediator(name);
+        mediator.enable_tracing(TraceBuffer::new());
+        let host = deploy(mediator, &Endpoint::memory(format!("{name}-bridge")));
+        let diag_ep = host
+            .expose_diagnostics(&net, &Endpoint::memory(format!("{name}-diag")))
+            .unwrap();
+
+        assert!(
+            add_call(&net, host.endpoint(), FAILING_X, 1).is_err(),
+            "{name}"
+        );
+        for x in 100..200 {
+            assert_eq!(
+                add_call(&net, host.endpoint(), x, 1).unwrap(),
+                (x + 1).to_string()
+            );
+        }
+
+        let mut conn = net.connect(&diag_ep).unwrap();
+        conn.send(b"traces").unwrap();
+        let json = String::from_utf8(conn.receive().unwrap()).unwrap();
+        validate_chrome_trace(&json).expect("served trace is valid Chrome JSON");
+        let events = parse_chrome_trace(&json).unwrap();
+        let failures: Vec<&ChromeEvent> = events
+            .iter()
+            .filter(|e| e.name == "session-failed")
+            .collect();
+        assert_eq!(failures.len(), 1, "{name}: the one failure is served");
+        let failure = failures[0];
+        assert_eq!(
+            failure.arg("detail"),
+            "stage=binding layer=unbind",
+            "{name}"
+        );
+        // Its captured pre-γ message rides on the same session track.
+        let pre_gamma = events
+            .iter()
+            .find(|e| {
+                e.tid == failure.tid && e.name == "message" && e.arg("detail") == "pre-gamma: Add"
+            })
+            .unwrap_or_else(|| panic!("{name}: no pre-γ capture for the failure"));
+        assert_eq!(pre_gamma.arg("x"), FAILING_X.to_string(), "{name}");
+
+        host.shutdown();
+        let snap = host.telemetry_snapshot();
+        assert_eq!(
+            snap.value("starlink_sessions_failed_total", &[("stage", "binding")]),
+            Some(1),
+            "{name}"
+        );
+        assert_eq!(
+            snap.counter("starlink_sessions_started_total"),
+            snap.counter("starlink_sessions_finished_total")
+                + snap.counter("starlink_sessions_failed_total")
+                + snap.counter("starlink_sessions_abandoned_total"),
+            "{name}:\n{}",
+            snap.render_text()
+        );
+    }
+}
+
+/// Deploys a threaded host tracing into `buffer`, makes one Add call and
+/// returns the buffer and what the `traces` selector serves once the
+/// call's trace has completed.
+fn serve_one_traced_call(ns: &str, buffer: TraceBuffer, x: i64) -> (Arc<TraceBuffer>, String) {
+    let (net, mut mediator) = service_and_mediator(ns);
+    let traces = mediator.enable_tracing(buffer);
+    let host = MediatorHost::deploy(mediator, &Endpoint::memory(format!("{ns}-bridge"))).unwrap();
+    let diag_ep = host
+        .expose_diagnostics(&net, &Endpoint::memory(format!("{ns}-diag")))
+        .unwrap();
+    assert_eq!(
+        add_call(&net, host.endpoint(), x, 12).unwrap(),
+        (x + 12).to_string()
+    );
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while traces.traces().is_empty() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut conn = net.connect(&diag_ep).unwrap();
+    conn.send(b"traces").unwrap();
+    let json = String::from_utf8(conn.receive().unwrap()).unwrap();
+    host.shutdown();
+    (traces, json)
+}
+
+#[test]
+fn redacted_fields_never_reach_the_export() {
+    let buffer = TraceBuffer::new().with_redaction(|label, value| {
+        if label == "x" {
+            "<redacted>".to_owned()
+        } else {
+            value.to_owned()
+        }
+    });
+    let (_, json) = serve_one_traced_call("redacted", buffer, 987_654_321);
+    validate_chrome_trace(&json).expect("served trace is valid Chrome JSON");
+    assert!(json.contains("<redacted>"), "{json}");
+    assert!(!json.contains("987654321"), "{json}");
+    // Fields the hook keeps are served verbatim.
+    assert!(json.contains("987654333"), "{json}");
+}
+
+#[test]
+fn a_truncated_trace_is_still_served_as_valid_chrome_json() {
+    // 16 records cannot hold an Add traversal: the tail is dropped, but
+    // the closes of the kept spans, the root's included, are not.
+    let (traces, json) = serve_one_traced_call("truncated", TraceBuffer::with_capacity(4, 16), 1);
+    assert!(traces.truncated_records() > 0);
+    let stats = validate_chrome_trace(&json).expect("served trace is valid Chrome JSON");
+    assert!(stats.span_pairs >= 1);
 }

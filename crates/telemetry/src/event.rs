@@ -2,7 +2,7 @@
 //!
 //! Events borrow their string data (`&'a str`) so constructing one on the
 //! hot path never allocates; sinks that need to retain an event own the
-//! copy themselves (see [`crate::Recorder`]'s ring buffer).
+//! copy themselves (see [`crate::TraceBuffer`]).
 
 /// How a compiled dispatch probe fared for one `parse` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +159,9 @@ pub enum TraceEvent<'a> {
         /// Coarse failure stage (an error-variant label such as `"mdl"`,
         /// `"net"`, `"unexpected-message"`).
         stage: &'a str,
+        /// The layer the traversal was in when the error arose: the open
+        /// leaf span's layer, or [`Layer::Session`] outside any leaf.
+        layer: Layer,
     },
     /// A traversal ended without finishing or failing. Every started
     /// traversal ends exactly once: finished, failed or abandoned.
@@ -270,9 +273,9 @@ pub enum TraceEvent<'a> {
         nanos: u64,
     },
     /// A capture of an abstract message crossing the mediator. Only
-    /// emitted when a sink reports
-    /// [`crate::TelemetrySink::wants_messages`] — rendering fields is
-    /// the most expensive instrumentation the engine does.
+    /// emitted through a [`crate::SessionTracer`] — rendering fields is
+    /// the most expensive instrumentation the engine does, so it is paid
+    /// only where traces are retained.
     MessageSnapshot {
         /// Pipeline stage: `"received"`, `"pre-gamma"`, `"post-gamma"`,
         /// `"sent"`.

@@ -41,10 +41,29 @@ pub struct ChromeEvent {
     pub args: Vec<(String, String)>,
 }
 
+impl ChromeEvent {
+    /// The value of the `key` arg ("" when absent).
+    pub fn arg(&self, key: &str) -> &str {
+        self.args
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or("", |(_, v)| v.as_str())
+    }
+
+    /// A `message` capture's `(label, value)` fields: the args after the
+    /// fixed `parent` one (empty for every other event).
+    pub fn fields(&self) -> &[(String, String)] {
+        let fixed = self.args.iter().position(|(k, _)| k == "parent");
+        &self.args[fixed.map_or(self.args.len(), |i| i + 1)..]
+    }
+}
+
 /// Lowers one completed session trace into Chrome trace events.
 ///
 /// Span opens/closes become `B`/`E` pairs and point events become `i`
-/// instants.
+/// instants. Every event's args are `detail` (when non-empty), `span`
+/// and `parent`, in that order; a `message` capture's fields follow as
+/// one arg per `label=value` pair.
 pub fn chrome_events(trace: &SessionTrace) -> Vec<ChromeEvent> {
     let tid = trace.session.0;
     let mut events = Vec::with_capacity(trace.records.len());
@@ -55,6 +74,7 @@ pub fn chrome_events(trace: &SessionTrace) -> Vec<ChromeEvent> {
         }
         args.push(("span".to_owned(), record.meta.span.0.to_string()));
         args.push(("parent".to_owned(), record.meta.parent.0.to_string()));
+        args.extend(record.args.iter().cloned());
         let ph = match record.kind {
             TraceRecordKind::SpanOpen => 'B',
             TraceRecordKind::SpanClose => 'E',
@@ -490,11 +510,7 @@ pub fn render_timeline(events: &[ChromeEvent]) -> String {
         // Begin timestamps of the enclosing spans; its length is the depth.
         let mut open: Vec<f64> = Vec::new();
         for ev in events.iter().filter(|e| e.tid == tid) {
-            let detail = ev
-                .args
-                .iter()
-                .find(|(key, _)| key == "detail")
-                .map_or(String::new(), |(_, value)| value.clone());
+            let detail = ev.arg("detail").to_owned();
             let (marker, depth, text) = match ev.ph {
                 'B' => {
                     open.push(ev.ts_us);
@@ -562,6 +578,31 @@ mod tests {
             assert_eq!(a.args, b.args);
             assert!((a.ts_us - b.ts_us).abs() < 0.002);
         }
+    }
+
+    #[test]
+    fn captured_fields_export_as_instant_args() {
+        let buffer = TraceBuffer::new();
+        let tracer = SessionTracer::new();
+        let root = tracer.open(&buffer, Layer::Session, 1, Instant::now());
+        tracer.record(
+            &buffer,
+            &TraceEvent::MessageSnapshot {
+                stage: "received",
+                message: "Add",
+                fields: "x=30\ny=12",
+            },
+        );
+        tracer.close(&buffer, root, Instant::now(), 0);
+        let events = chrome_events(&buffer.latest().unwrap());
+        let capture = events.iter().find(|e| e.name == "message").unwrap();
+        assert_eq!(capture.ph, 'i');
+        let keys: Vec<&str> = capture.args.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["detail", "span", "parent", "x", "y"]);
+        assert_eq!(capture.arg("detail"), "received: Add");
+        let fields = [("x".into(), "30".into()), ("y".into(), "12".into())];
+        assert_eq!(capture.fields(), fields);
+        assert!(events[0].fields().is_empty(), "spans carry no fields");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! A mediator bridges two live systems; "is the bridge healthy right
 //! now" must be answerable by a script (load balancer, cron probe,
 //! `starlink health`) without a human reading counters. This module
-//! reduces the operations plane's inputs — windowed rates from
-//! [`crate::WindowAggregator`], saturation gauges from the lifetime
+//! reduces the operations plane's inputs — windowed counts from
+//! [`crate::CounterWindow`], saturation gauges from the lifetime
 //! [`crate::Snapshot`], and the stall watchdog's count — to a
 //! three-valued [`HealthStatus`] with per-check reasons for the
 //! merged-automaton pair a host serves.

@@ -19,9 +19,9 @@
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — lock-free atomic metric
 //!   primitives (fixed-bucket latency histograms, no allocation on the
 //!   observe path).
-//! * [`Recorder`] — the batteries-included sink: aggregates every event
-//!   into the metric primitives and keeps a bounded ring buffer of recent
-//!   events for debugging.
+//! * [`Recorder`] — the one aggregate: folds every event into the metric
+//!   primitives (lock-free and allocation-free, except that a failed
+//!   traversal is counted under its stage label behind a short mutex).
 //! * [`Snapshot`] — a point-in-time aggregate with Prometheus-style text
 //!   exposition ([`Snapshot::render_text`]) and a round-tripping parser
 //!   ([`Snapshot::parse_text`]) so the format is stable and scriptable
@@ -30,17 +30,18 @@
 //! * Per-session causal tracing — [`SessionTracer`] mints a
 //!   [`SessionTraceId`] per accepted connection and stamps every event
 //!   with a [`TraceMeta`] (session id, monotonic timestamp, span +
-//!   parent span), [`TraceBuffer`] retains the last N completed session
-//!   span trees, [`FlightRecorder`] captures abstract-message field
-//!   values pre-/post-γ behind a redaction hook, and the exporters
+//!   parent span), [`TraceBuffer`] is the one retention — the last N
+//!   completed session span trees plus a reservoir of the last failed
+//!   ones per stage, with abstract-message captures pre-/post-γ as
+//!   instant records behind a redaction hook — and the exporters
 //!   ([`chrome_events`] + [`render_chrome_json`], [`render_timeline`])
 //!   render a trace as Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing`/Perfetto) or a plain-text timeline, with a
 //!   zero-dep validating parser ([`validate_chrome_trace`]) for smoke
 //!   tests.
-//! * The operations plane — [`WindowAggregator`] buckets lifecycle
-//!   events into a sliding window (rates over the last N seconds,
-//!   labelled per merged-automaton pair), and the health model
+//! * The operations plane — [`CounterWindow`] derives sliding-window
+//!   counts (the last N seconds, labelled per merged-automaton pair)
+//!   from the recorder's cumulative counters, and the health model
 //!   ([`PairHealth`], [`HealthThresholds`], [`evaluate_pair`])
 //!   reduces windows + snapshot gauges + the stall watchdog's count to
 //!   a three-valued [`HealthStatus`] with per-check reasons, exported as
@@ -59,7 +60,6 @@
 
 mod event;
 mod export;
-mod flight;
 mod health;
 mod metrics;
 mod recorder;
@@ -73,7 +73,6 @@ pub use export::{
     chrome_events, parse_chrome_trace, render_chrome_json, render_timeline, validate_chrome_trace,
     ChromeEvent, TraceStats,
 };
-pub use flight::{FlightRecorder, MessageCapture, RedactionFn};
 pub use health::{
     evaluate_pair, HealthCheck, HealthInputs, HealthStatus, HealthThresholds, PairHealth,
 };
@@ -82,7 +81,7 @@ pub use recorder::Recorder;
 pub use sink::{noop_sink, FanoutSink, NoopSink, TelemetrySink};
 pub use snapshot::{ExpositionError, MetricFamily, MetricKind, Sample, Snapshot};
 pub use span::{
-    SessionTrace, SessionTraceId, SessionTracer, SpanGuard, SpanId, SpanScopedSink, TraceBuffer,
-    TraceMeta, TraceRecord, TraceRecordKind,
+    RedactionFn, SessionTrace, SessionTraceId, SessionTracer, SpanGuard, SpanId, SpanScopedSink,
+    TraceBuffer, TraceMeta, TraceRecord, TraceRecordKind,
 };
-pub use window::{window_families, WindowAggregator, WindowConfig, WindowCounts};
+pub use window::{window_families, CounterWindow, WindowConfig, WindowCounts};

@@ -1,16 +1,10 @@
-//! The batteries-included sink: aggregates events into lock-free metrics
-//! and keeps a bounded ring buffer of recent events.
+//! The batteries-included sink: aggregates events into lock-free metrics.
 
 use crate::event::{AbandonReason, Layer, ProbeOutcome, TraceEvent, TransitionKind};
 use crate::metrics::{Counter, Gauge, Histogram, DURATION_BUCKET_BOUNDS_NS};
 use crate::sink::TelemetrySink;
 use crate::snapshot::{MetricFamily, MetricKind, Sample, Snapshot};
-use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::Instant;
-
-/// Default capacity of the recent-events ring buffer.
-const DEFAULT_RING_CAPACITY: usize = 128;
 
 /// Count and summed nanoseconds of closed spans of one (layer, color).
 #[derive(Debug, Default)]
@@ -32,26 +26,17 @@ impl Default for LayerTable {
     }
 }
 
-/// The recorder's creation instant (wrapped so `Recorder` can keep
-/// deriving `Default`).
-#[derive(Debug, Clone, Copy)]
-struct Epoch(Instant);
-
-impl Default for Epoch {
-    fn default() -> Self {
-        Epoch(Instant::now())
-    }
-}
-
 /// A [`TelemetrySink`] that aggregates every event into counters, gauges
-/// and fixed-bucket histograms (all lock-free on the record path except
-/// the bounded ring buffer of recent events, a short uncontended mutex),
-/// and snapshots them on demand.
+/// and fixed-bucket histograms, and snapshots them on demand. Recording
+/// is lock-free and allocation-free except for a failed traversal, which
+/// takes a short mutex to count it under its stage label.
 #[derive(Debug, Default)]
 pub struct Recorder {
     sessions_started: Counter,
     sessions_finished: Counter,
-    sessions_failed: Counter,
+    /// Failed traversals by stage label, in first-seen order. Stage
+    /// labels are a small fixed set, so the list stays short.
+    sessions_failed: Mutex<Vec<(String, u64)>>,
     /// Abandoned traversals, indexed like [`AbandonReason::ALL`].
     sessions_abandoned: [Counter; AbandonReason::ALL.len()],
     exchanges: Counter,
@@ -79,74 +64,23 @@ pub struct Recorder {
     queue_depth: Gauge,
     sessions_stalled: Counter,
     stalled_sessions: Gauge,
-    ring_capacity: usize,
-    ring: Mutex<VecDeque<String>>,
-    epoch: Epoch,
 }
 
 impl Recorder {
-    /// A fresh recorder with the default ring-buffer capacity.
+    /// A fresh recorder with every metric at zero.
     pub fn new() -> Recorder {
-        Recorder::with_ring_capacity(DEFAULT_RING_CAPACITY)
+        Recorder::default()
     }
 
-    /// A fresh recorder keeping up to `capacity` recent events (0
-    /// disables event retention; metrics still aggregate).
-    pub fn with_ring_capacity(capacity: usize) -> Recorder {
-        Recorder {
-            ring_capacity: capacity,
-            ..Recorder::default()
-        }
-    }
-
-    /// The most recent events (oldest first), each rendered as a debug
-    /// line prefixed with `+<nanos>ns` — monotonic nanoseconds since
-    /// this recorder was created, so ring entries are ordered relative
-    /// to each other and to the recorder's lifetime.
-    pub fn recent(&self) -> Vec<String> {
-        self.ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    fn retain(&self, event: &TraceEvent<'_>) {
-        if self.ring_capacity == 0 {
-            return;
-        }
-        // Only lifecycle/diagnostic events are retained verbatim; the
-        // per-message firehose (spans, wire bytes) stays aggregate-only
-        // so the ring holds interesting history. Abandonment is the
-        // routine end of every connection and is only counted: retaining
-        // it would allocate on the session thread just before it exits,
-        // and that small live allocation can keep the thread's freed
-        // translation cache resident (glibc arenas; `photo-browse` peak
-        // RSS rose from ~57 to ~89 MiB on a 2-core VM).
-        let keep = matches!(
-            event,
-            TraceEvent::SessionStarted
-                | TraceEvent::SessionFinished { .. }
-                | TraceEvent::SessionFailed { .. }
-                | TraceEvent::MonitorViolation { .. }
-                | TraceEvent::AcceptError
-                | TraceEvent::WorkerPanic
-                | TraceEvent::ServiceConnected { .. }
-                | TraceEvent::SessionStalled { .. }
-        );
-        if !keep {
-            return;
-        }
-        let mut ring = self
-            .ring
+    fn count_failure(&self, stage: &str) {
+        let mut failed = self
+            .sessions_failed
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if ring.len() == self.ring_capacity {
-            ring.pop_front();
+        match failed.iter_mut().find(|(s, _)| s == stage) {
+            Some((_, n)) => *n += 1,
+            None => failed.push((stage.to_owned(), 1)),
         }
-        let offset_ns = self.epoch.0.elapsed().as_nanos() as u64;
-        ring.push_back(format!("+{offset_ns}ns {event:?}"));
     }
 
     /// Builds the snapshot (also available through the
@@ -179,7 +113,16 @@ impl Recorder {
         let mut families = vec![
             counter("starlink_sessions_started_total", &self.sessions_started),
             counter("starlink_sessions_finished_total", &self.sessions_finished),
-            counter("starlink_sessions_failed_total", &self.sessions_failed),
+            MetricFamily::simple(
+                "starlink_sessions_failed_total",
+                MetricKind::Counter,
+                self.sessions_failed
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .iter()
+                    .map(|(stage, n)| Sample::labelled("stage", stage, *n))
+                    .collect(),
+            ),
             MetricFamily::simple(
                 "starlink_sessions_abandoned_total",
                 MetricKind::Counter,
@@ -287,7 +230,7 @@ impl TelemetrySink for Recorder {
                 self.sessions_finished.inc();
                 self.exchanges.add(exchanges as u64);
             }
-            TraceEvent::SessionFailed { .. } => self.sessions_failed.inc(),
+            TraceEvent::SessionFailed { stage, .. } => self.count_failure(stage),
             TraceEvent::SessionAbandoned { reason } => {
                 self.sessions_abandoned[reason as usize].inc();
             }
@@ -330,11 +273,11 @@ impl TelemetrySink for Recorder {
             TraceEvent::QueueDepth { depth } => self.queue_depth.set(depth as u64),
             TraceEvent::SessionStalled { .. } => self.sessions_stalled.inc(),
             TraceEvent::StalledSessions { count } => self.stalled_sessions.set(count as u64),
-            // Tracing structure is the TraceBuffer's / FlightRecorder's
-            // business; the aggregate view needs only closed spans.
+            // Tracing structure and message captures are the
+            // TraceBuffer's business; the aggregate view needs only
+            // closed spans.
             TraceEvent::SpanOpened { .. } | TraceEvent::MessageSnapshot { .. } => {}
         }
-        self.retain(event);
     }
 
     fn snapshot(&self) -> Option<Snapshot> {
@@ -418,38 +361,6 @@ mod tests {
         );
         assert_eq!(snap.counter("starlink_queue_depth"), 2);
         assert_eq!(snap.counter("starlink_queue_depth_peak"), 5);
-    }
-
-    #[test]
-    fn ring_buffer_is_bounded_and_selective() {
-        let r = Recorder::with_ring_capacity(2);
-        r.record(&TraceEvent::SessionStarted);
-        // Firehose events are not retained.
-        r.record(&TraceEvent::WireIn { color: 1, bytes: 9 });
-        r.record(&TraceEvent::SessionFailed { stage: "net" });
-        r.record(&TraceEvent::SessionFinished {
-            final_state: "s2",
-            exchanges: 1,
-        });
-        let recent = r.recent();
-        assert_eq!(recent.len(), 2);
-        assert!(recent[0].contains("SessionFailed"));
-        assert!(recent[1].contains("SessionFinished"));
-    }
-
-    #[test]
-    fn ring_entries_carry_monotonic_offsets() {
-        let r = Recorder::new();
-        r.record(&TraceEvent::SessionStarted);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        r.record(&TraceEvent::SessionFailed { stage: "net" });
-        let recent = r.recent();
-        let offset = |line: &str| -> u64 {
-            let rest = line.strip_prefix('+').expect("offset prefix");
-            let (ns, _) = rest.split_once("ns ").expect("ns suffix");
-            ns.parse().expect("numeric offset")
-        };
-        assert!(offset(&recent[0]) < offset(&recent[1]));
     }
 
     #[test]

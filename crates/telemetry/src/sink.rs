@@ -42,27 +42,18 @@ pub trait TelemetrySink: Send + Sync {
     /// monotonic timestamp, span tree position). The default discards
     /// the metadata and forwards to [`TelemetrySink::record`], so
     /// aggregate sinks keep counting traced events without change;
-    /// trace-aware sinks ([`crate::TraceBuffer`], [`crate::FlightRecorder`])
-    /// override it.
+    /// the trace-aware [`crate::TraceBuffer`] overrides it.
     fn record_traced(&self, meta: &TraceMeta, event: &TraceEvent<'_>) {
         let _ = meta;
         self.record(event);
     }
 
-    /// Whether this sink consumes span metadata. Emitting layers only
-    /// mint a [`crate::SessionTracer`] (and pay its timestamping and
-    /// span bookkeeping) when this returns `true`, so purely aggregate
-    /// deployments keep their aggregate-only cost profile. Defaults to
-    /// `false`.
+    /// Whether this sink retains traces. Emitting layers only mint a
+    /// [`crate::SessionTracer`] — and so only pay its timestamping, span
+    /// bookkeeping and [`TraceEvent::MessageSnapshot`] rendering — when
+    /// this returns `true`, so purely aggregate deployments keep their
+    /// aggregate-only cost profile. Defaults to `false`.
     fn wants_spans(&self) -> bool {
-        false
-    }
-
-    /// Whether this sink consumes [`TraceEvent::MessageSnapshot`]
-    /// payloads. Rendering abstract-message fields to text is the most
-    /// expensive thing the instrumentation can do, so it is gated on
-    /// this flag separately from `wants_spans`. Defaults to `false`.
-    fn wants_messages(&self) -> bool {
         false
     }
 }
@@ -122,10 +113,6 @@ impl TelemetrySink for FanoutSink {
 
     fn wants_spans(&self) -> bool {
         self.sinks.iter().any(|s| s.wants_spans())
-    }
-
-    fn wants_messages(&self) -> bool {
-        self.sinks.iter().any(|s| s.wants_messages())
     }
 }
 

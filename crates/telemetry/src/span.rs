@@ -1,5 +1,6 @@
 //! Per-session causal tracing: span identity, the session tracer, and
-//! the bounded buffer of completed session traces.
+//! the bounded buffer of completed session traces — the one place
+//! traces, message captures and failures are retained.
 //!
 //! The aggregate metrics answer "how many / how fast"; this module
 //! answers *which* — which client message, on which color, passed
@@ -12,15 +13,14 @@
 //! parent — enough to rebuild the causal tree from a flat event stream.
 //!
 //! Tracing is pay-for-use: an emitting layer only constructs metadata
-//! when its sink opts in via [`TelemetrySink::wants_spans`], so the
-//! no-op-sink deployment still costs one branch per instrumentation
-//! site.
+//! (and renders message captures) when its sink opts in via
+//! [`TelemetrySink::wants_spans`], so the no-op-sink deployment still
+//! costs one branch per instrumentation site.
 
 use crate::event::{Layer, TraceEvent};
 use crate::sink::TelemetrySink;
 use crate::snapshot::Snapshot;
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -102,13 +102,8 @@ impl SessionTracer {
     /// A tracer for a freshly minted session id, with its monotonic
     /// epoch at now.
     pub fn new() -> SessionTracer {
-        SessionTracer::with_session(SessionTraceId::next())
-    }
-
-    /// A tracer for a caller-chosen session id (deterministic tests).
-    pub fn with_session(session: SessionTraceId) -> SessionTracer {
         SessionTracer {
-            session,
+            session: SessionTraceId::next(),
             epoch: Instant::now(),
             next_span: AtomicU64::new(1),
             current: AtomicU64::new(SpanId::NONE.0),
@@ -116,11 +111,11 @@ impl SessionTracer {
         }
     }
 
-    /// Mints a tracer when `sink` consumes spans or message snapshots
-    /// (and is enabled at all); `None` otherwise. The shape emitting
-    /// layers use to keep the untraced path branch-cheap.
+    /// Mints a tracer when `sink` retains traces (and is enabled at
+    /// all); `None` otherwise. The shape emitting layers use to keep the
+    /// untraced path branch-cheap.
     pub fn for_sink(sink: &dyn TelemetrySink) -> Option<SessionTracer> {
-        (sink.enabled() && (sink.wants_spans() || sink.wants_messages())).then(SessionTracer::new)
+        (sink.enabled() && sink.wants_spans()).then(SessionTracer::new)
     }
 
     /// The session this tracer stamps.
@@ -128,28 +123,23 @@ impl SessionTracer {
         self.session
     }
 
-    /// Monotonic nanoseconds since the tracer was minted.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    fn meta(&self) -> TraceMeta {
+    /// Metadata for `span` (child of `parent`) at the caller's clock
+    /// read `at` (0 before the epoch).
+    fn meta_at(&self, at: Instant, span: SpanId, parent: SpanId) -> TraceMeta {
+        let ts_ns = at.saturating_duration_since(self.epoch).as_nanos() as u64;
         TraceMeta {
             session: self.session,
-            ts_ns: self.now_ns(),
-            span: SpanId(self.current.load(Ordering::Relaxed)),
-            parent: SpanId(self.current_parent.load(Ordering::Relaxed)),
+            ts_ns,
+            span,
+            parent,
         }
-    }
-
-    /// Nanoseconds from the tracer's epoch to `at` (0 before the epoch).
-    fn offset_ns(&self, at: Instant) -> u64 {
-        at.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
     /// Records one event inside the current span.
     pub fn record(&self, sink: &dyn TelemetrySink, event: &TraceEvent<'_>) {
-        sink.record_traced(&self.meta(), event);
+        let span = SpanId(self.current.load(Ordering::Relaxed));
+        let parent = SpanId(self.current_parent.load(Ordering::Relaxed));
+        sink.record_traced(&self.meta_at(Instant::now(), span, parent), event);
     }
 
     /// Opens a `layer` span on `color` as a child of the current span,
@@ -165,15 +155,8 @@ impl SessionTracer {
         let id = SpanId(self.next_span.fetch_add(1, Ordering::Relaxed));
         let parent = SpanId(self.current.load(Ordering::Relaxed));
         let prev_parent = SpanId(self.current_parent.load(Ordering::Relaxed));
-        sink.record_traced(
-            &TraceMeta {
-                session: self.session,
-                ts_ns: self.offset_ns(at),
-                span: id,
-                parent,
-            },
-            &TraceEvent::SpanOpened { layer, color },
-        );
+        let meta = self.meta_at(at, id, parent);
+        sink.record_traced(&meta, &TraceEvent::SpanOpened { layer, color });
         self.current.store(id.0, Ordering::Relaxed);
         self.current_parent.store(parent.0, Ordering::Relaxed);
         SpanGuard {
@@ -190,12 +173,7 @@ impl SessionTracer {
     /// [`TraceEvent::SpanClosed`].
     pub fn close(&self, sink: &dyn TelemetrySink, guard: SpanGuard, at: Instant, nanos: u64) {
         sink.record_traced(
-            &TraceMeta {
-                session: self.session,
-                ts_ns: self.offset_ns(at),
-                span: guard.id,
-                parent: guard.parent,
-            },
+            &self.meta_at(at, guard.id, guard.parent),
             &TraceEvent::SpanClosed {
                 layer: guard.layer,
                 color: guard.color,
@@ -250,10 +228,6 @@ impl TelemetrySink for SpanScopedSink<'_> {
     fn wants_spans(&self) -> bool {
         self.inner.wants_spans()
     }
-
-    fn wants_messages(&self) -> bool {
-        self.inner.wants_messages()
-    }
 }
 
 /// How a retained trace record relates to time.
@@ -267,12 +241,13 @@ pub enum TraceRecordKind {
     Instant,
 }
 
+/// Rewrites one captured field value before retention: `(field label,
+/// value) -> retained value`. Return the value unchanged to keep it, a
+/// fixed marker to censor it.
+pub type RedactionFn = dyn Fn(&str, &str) -> String + Send + Sync;
+
 /// One retained, owned trace record: the event normalised to a name, a
 /// human-readable detail line, and its timing kind.
-///
-/// Message payloads are deliberately *not* retained here — field values
-/// go to the [`crate::FlightRecorder`], which owns redaction; the trace
-/// buffer keeps only structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
     /// Causal metadata stamped at emission.
@@ -283,11 +258,16 @@ pub struct TraceRecord {
     pub name: String,
     /// Human-readable detail (state names, byte counts, …).
     pub detail: String,
+    /// A `message` capture's `(label, value)` fields in message order,
+    /// values already through the buffer's redaction hook; empty for
+    /// every other record.
+    pub args: Vec<(String, String)>,
 }
 
 impl TraceRecord {
-    /// Normalises one event into an owned record.
-    pub fn from_event(meta: TraceMeta, event: &TraceEvent<'_>) -> TraceRecord {
+    /// Normalises one event into an owned record, passing captured
+    /// field values through `redact`.
+    fn from_event(meta: TraceMeta, event: &TraceEvent<'_>, redact: &RedactionFn) -> TraceRecord {
         use TraceRecordKind::{Instant, SpanClose, SpanOpen};
         let (kind, name, detail) = match *event {
             TraceEvent::SpanOpened { layer, color } => {
@@ -311,9 +291,11 @@ impl TraceRecord {
                 "session-finished".into(),
                 format!("final_state={final_state} exchanges={exchanges}"),
             ),
-            TraceEvent::SessionFailed { stage } => {
-                (Instant, "session-failed".into(), format!("stage={stage}"))
-            }
+            TraceEvent::SessionFailed { stage, layer } => (
+                Instant,
+                "session-failed".into(),
+                format!("stage={stage} layer={}", layer.label()),
+            ),
             TraceEvent::SessionAbandoned { reason } => (
                 Instant,
                 "session-abandoned".into(),
@@ -340,13 +322,9 @@ impl TraceRecord {
                 "wire-out".into(),
                 format!("color {color}, {bytes} B"),
             ),
-            TraceEvent::MessageSnapshot { stage, message, .. } => (
-                Instant,
-                "message".into(),
-                // Field values stay out of the trace buffer; see the
-                // flight recorder for (redacted) payloads.
-                format!("{stage}: {message}"),
-            ),
+            TraceEvent::MessageSnapshot { stage, message, .. } => {
+                (Instant, "message".into(), format!("{stage}: {message}"))
+            }
             TraceEvent::MonitorViolation { state, action } => (
                 Instant,
                 "monitor-violation".into(),
@@ -377,11 +355,20 @@ impl TraceRecord {
                 (Instant, "stalled-sessions".into(), format!("{count}"))
             }
         };
+        let args = match *event {
+            TraceEvent::MessageSnapshot { fields, .. } => fields
+                .lines()
+                .filter_map(|line| line.split_once('='))
+                .map(|(label, value)| (label.to_owned(), redact(label, value)))
+                .collect(),
+            _ => Vec::new(),
+        };
         TraceRecord {
             meta,
             kind,
             name,
             detail,
+            args,
         }
     }
 }
@@ -415,23 +402,46 @@ const DEFAULT_RECORDS_PER_TRACE: usize = 1024;
 /// sessions — e.g. a driver that died without closing the root span —
 /// must not pin memory forever).
 const MAX_ACTIVE_SESSIONS: usize = 1024;
+/// Failed traces the failure reservoir keeps per stage label. Stage
+/// labels are a small fixed set, so the reservoir stays small too.
+const FAILED_PER_STAGE: usize = 4;
+
+/// A trace still being recorded.
+#[derive(Default)]
+struct ActiveTrace {
+    records: Vec<TraceRecord>,
+    /// The failure's stage label, once the traversal has failed.
+    failed: Option<String>,
+}
 
 #[derive(Default)]
 struct TraceBufferState {
-    active: HashMap<u64, Vec<TraceRecord>>,
-    completed: VecDeque<SessionTrace>,
+    active: HashMap<u64, ActiveTrace>,
+    /// Completed traces in completion order, each with its failure's
+    /// stage label (`None`: it did not fail): at most `capacity` that
+    /// did not fail, and at most [`FAILED_PER_STAGE`] per stage label.
+    completed: VecDeque<(Option<String>, SessionTrace)>,
     truncated: u64,
 }
 
-/// A [`TelemetrySink`] retaining the last N *completed* session traces
-/// (a trace completes when its root span closes). Per-trace record
-/// count is bounded; overflowing records are dropped and counted.
+/// A [`TelemetrySink`] retaining completed session traces (a trace
+/// completes when its root span closes): the last N that completed
+/// without failing, and apart from them a reservoir of the last four
+/// failed traces per stage label, so a failure stays explainable however
+/// many good sessions follow it. Per-trace record count is bounded;
+/// overflowing records are dropped and counted, except the failure and
+/// the closes of spans whose opens were kept.
+///
+/// Message captures ([`TraceEvent::MessageSnapshot`]) are kept as
+/// `message` instant records whose fields pass through a redaction hook
+/// ([`TraceBuffer::with_redaction`]) before anything is retained.
 ///
 /// Untraced `record` calls (no session metadata) are ignored — this
 /// sink only makes sense downstream of a [`SessionTracer`].
 pub struct TraceBuffer {
     capacity: usize,
     records_per_trace: usize,
+    redact: Box<RedactionFn>,
     state: Mutex<TraceBufferState>,
 }
 
@@ -447,8 +457,20 @@ impl TraceBuffer {
         TraceBuffer {
             capacity: traces.max(1),
             records_per_trace: records_per_trace.max(16),
+            redact: Box::new(|_label, value| value.to_owned()),
             state: Mutex::new(TraceBufferState::default()),
         }
+    }
+
+    /// Installs a redaction hook, applied to every captured `(label,
+    /// value)` field at capture time — redacted values never reach
+    /// memory the buffer retains. The default keeps values verbatim.
+    pub fn with_redaction<F>(mut self, redact: F) -> TraceBuffer
+    where
+        F: Fn(&str, &str) -> String + Send + Sync + 'static,
+    {
+        self.redact = Box::new(redact);
+        self
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, TraceBufferState> {
@@ -457,14 +479,18 @@ impl TraceBuffer {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Completed traces, oldest first.
+    /// Retained traces, failed and not, oldest completion first.
     pub fn traces(&self) -> Vec<SessionTrace> {
-        self.lock().completed.iter().cloned().collect()
+        self.lock()
+            .completed
+            .iter()
+            .map(|(_, t)| t.clone())
+            .collect()
     }
 
     /// The most recently completed trace.
     pub fn latest(&self) -> Option<SessionTrace> {
-        self.lock().completed.back().cloned()
+        self.lock().completed.back().map(|(_, t)| t.clone())
     }
 
     /// The most recently completed trace of the given session.
@@ -473,8 +499,8 @@ impl TraceBuffer {
             .completed
             .iter()
             .rev()
-            .find(|t| t.session == session)
-            .cloned()
+            .find(|(_, t)| t.session == session)
+            .map(|(_, t)| t.clone())
     }
 
     /// Sessions currently being recorded (root span still open).
@@ -501,25 +527,49 @@ impl TelemetrySink for TraceBuffer {
     }
 
     fn record_traced(&self, meta: &TraceMeta, event: &TraceEvent<'_>) {
-        let record = TraceRecord::from_event(*meta, event);
+        let record = TraceRecord::from_event(*meta, event, self.redact.as_ref());
         let root_closed =
             record.kind == TraceRecordKind::SpanClose && record.meta.parent == SpanId::NONE;
         let mut state = self.lock();
-        let records = state.active.entry(meta.session.0).or_default();
-        if records.len() < self.records_per_trace {
-            records.push(record);
+        let trace = state.active.entry(meta.session.0).or_default();
+        if let TraceEvent::SessionFailed { stage, .. } = *event {
+            trace.failed = Some(stage.to_owned());
+        }
+        // Past the bound, still keep the failure (at most one per
+        // traversal) and close every span whose open was kept, so a
+        // truncated trace stays balanced, keeps its root's close and
+        // still says why it failed.
+        let keep = trace.records.len() < self.records_per_trace
+            || matches!(event, TraceEvent::SessionFailed { .. })
+            || (record.kind == TraceRecordKind::SpanClose
+                && trace.records.iter().any(|r| {
+                    r.kind == TraceRecordKind::SpanOpen && r.meta.span == record.meta.span
+                }));
+        if keep {
+            trace.records.push(record);
         } else {
             state.truncated += 1;
         }
         if root_closed {
-            let records = state.active.remove(&meta.session.0).unwrap_or_default();
-            if state.completed.len() == self.capacity {
-                state.completed.pop_front();
+            let done = state.active.remove(&meta.session.0).unwrap_or_default();
+            // Evict the oldest trace of the same outcome once its class
+            // is full: good traversals never evict a failure, nor do
+            // failures of one stage evict those of another.
+            let limit = match done.failed {
+                Some(_) => FAILED_PER_STAGE,
+                None => self.capacity,
+            };
+            let same = |(failed, _): &(Option<String>, SessionTrace)| *failed == done.failed;
+            if state.completed.iter().filter(|t| same(t)).count() == limit {
+                if let Some(oldest) = state.completed.iter().position(same) {
+                    state.completed.remove(oldest);
+                }
             }
-            state.completed.push_back(SessionTrace {
+            let trace = SessionTrace {
                 session: meta.session,
-                records,
-            });
+                records: done.records,
+            };
+            state.completed.push_back((done.failed, trace));
         } else if state.active.len() > MAX_ACTIVE_SESSIONS {
             // Session ids are monotonic: the smallest key is the oldest.
             if let Some(&oldest) = state.active.keys().min() {
@@ -591,37 +641,86 @@ mod tests {
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "non-monotonic: {ts:?}");
     }
 
-    #[test]
-    fn buffer_is_bounded_by_completed_traces() {
-        let buffer = TraceBuffer::with_capacity(2, 64);
-        let first = traced_session(&buffer, 1);
-        traced_session(&buffer, 2);
-        traced_session(&buffer, 3);
-        assert_eq!(buffer.traces().len(), 2);
-        assert!(buffer.trace(first).is_none(), "oldest trace evicted");
+    fn capture<'a>(stage: &'a str, fields: &'a str) -> TraceEvent<'a> {
+        TraceEvent::MessageSnapshot {
+            stage,
+            message: "Add",
+            fields,
+        }
+    }
+
+    /// One traversal recording `events` under its root span.
+    fn session_with(buffer: &TraceBuffer, events: &[TraceEvent<'_>]) -> SessionTraceId {
+        let tracer = SessionTracer::new();
+        let root = tracer.open(buffer, Layer::Session, 1, Instant::now());
+        for event in events {
+            tracer.record(buffer, event);
+        }
+        tracer.close(buffer, root, Instant::now(), 0);
+        tracer.session()
     }
 
     #[test]
     fn per_trace_record_bound_truncates() {
         let buffer = TraceBuffer::with_capacity(2, 16);
-        let tracer = SessionTracer::new();
-        let t0 = Instant::now();
-        let root = tracer.open(&buffer, Layer::Session, 1, t0);
-        for _ in 0..64 {
-            tracer.record(&buffer, &TraceEvent::WireBufReused);
-        }
-        tracer.close(&buffer, root, Instant::now(), 0);
+        session_with(&buffer, &[capture("received", "a=1"); 64]);
         let trace = buffer.latest().unwrap();
-        assert_eq!(trace.records.len(), 16);
-        assert!(buffer.truncated_records() > 0);
+        assert_eq!(trace.records.len(), 17, "16 kept + the root's close");
+        assert_eq!(buffer.truncated_records(), 66 - 17, "open + 64 + close");
+
+        // A failure past the bound is kept: the trace still says why.
+        let mut events = vec![capture("received", "a=1"); 64];
+        events.push(TraceEvent::SessionFailed {
+            stage: "binding",
+            layer: Layer::Unbind,
+        });
+        session_with(&buffer, &events);
+        let trace = buffer.latest().unwrap();
+        assert_eq!(trace.records.len(), 18, "16 + the failure + the close");
+        assert_eq!(trace.records[16].name, "session-failed");
     }
 
     #[test]
     fn plain_records_are_ignored() {
         let buffer = TraceBuffer::new();
         buffer.record(&TraceEvent::SessionStarted);
+        // An untraced capture carries no session to file it under.
+        buffer.record(&capture("received", "a=1"));
         assert_eq!(buffer.active_sessions(), 0);
         assert!(buffer.traces().is_empty());
+    }
+
+    #[test]
+    fn captures_are_instant_records_redacted_before_retention() {
+        let buffer = TraceBuffer::new().with_redaction(|label, value| match label {
+            "password" => "<redacted>".to_owned(),
+            _ => value.to_owned(),
+        });
+        let events = [
+            capture("received", "user=amel\npassword=hunter2"),
+            capture("pre-gamma", "a=2\nb=3"),
+        ];
+        let trace = buffer.trace(session_with(&buffer, &events)).unwrap();
+        let caps: Vec<&TraceRecord> = trace
+            .records
+            .iter()
+            .filter(|r| !r.args.is_empty())
+            .collect();
+        assert_eq!(caps.len(), 2, "only captures carry fields");
+        assert_eq!(
+            (caps[0].kind, caps[0].name.as_str()),
+            (TraceRecordKind::Instant, "message")
+        );
+        let pairs = |r: &TraceRecord| {
+            r.args
+                .iter()
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(pairs(caps[0]), ["user=amel", "password=<redacted>"]);
+        assert_eq!(caps[1].detail, "pre-gamma: Add");
+        assert_eq!(pairs(caps[1]), ["a=2", "b=3"]);
+        assert!(!format!("{trace:?}").contains("hunter2"));
     }
 
     #[test]

@@ -51,7 +51,12 @@ fn realistic_event_mix_round_trips() {
             exchanges: 2,
         });
     }
-    r.record(&TraceEvent::SessionFailed { stage: "net" });
+    for stage in ["net", "mdl", "net"] {
+        r.record(&TraceEvent::SessionFailed {
+            stage,
+            layer: Layer::Wait,
+        });
+    }
     r.record(&TraceEvent::SessionAbandoned {
         reason: AbandonReason::Timeout,
     });
@@ -63,7 +68,12 @@ fn realistic_event_mix_round_trips() {
 
     assert_eq!(parsed.counter("starlink_sessions_started_total"), 50);
     assert_eq!(parsed.counter("starlink_sessions_finished_total"), 50);
-    assert_eq!(parsed.counter("starlink_sessions_failed_total"), 1);
+    // Failures are counted per stage; the family total sums them.
+    assert_eq!(parsed.counter("starlink_sessions_failed_total"), 3);
+    assert_eq!(
+        parsed.value("starlink_sessions_failed_total", &[("stage", "net")]),
+        Some(2)
+    );
     assert_eq!(
         parsed.value("starlink_dispatch_probe_total", &[("outcome", "fallback")]),
         Some(8)

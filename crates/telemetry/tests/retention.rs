@@ -1,25 +1,20 @@
-//! Retention behaviour of the bounded trace stores, plus a property
+//! Retention behaviour of the bounded trace store, plus a property
 //! check that the exposition format stays lossless when the operations
 //! plane's window and health families ride along in a snapshot.
 
 use proptest::prelude::*;
 use starlink_telemetry::{
-    evaluate_pair, window_families, HealthInputs, HealthThresholds, Layer, Recorder, SessionTracer,
-    Snapshot, TelemetrySink, TraceBuffer, TraceEvent, WindowCounts,
+    chrome_events, evaluate_pair, render_chrome_json, validate_chrome_trace, window_families,
+    HealthInputs, HealthThresholds, Layer, Recorder, SessionTraceId, SessionTracer, Snapshot,
+    TelemetrySink, TraceBuffer, TraceEvent, WindowCounts,
 };
 use std::time::Instant;
-
-/// Parses a lifecycle-ring entry's `+<nanos>ns ` prefix.
-fn ring_offset_ns(entry: &str) -> u64 {
-    let rest = entry.strip_prefix('+').expect("entry starts with +");
-    let (digits, _) = rest.split_once("ns ").expect("entry has ns marker");
-    digits.parse().expect("offset is an integer")
-}
 
 #[test]
 fn trace_buffer_counts_every_truncated_record_exactly() {
     // Floor of 16 records per trace: open(1) + 25 events + close(1) is
-    // 27 attempts, so exactly 11 must be dropped and tallied.
+    // 27 attempts. The first 16 and the root's close are kept, so
+    // exactly 10 must be dropped and tallied.
     let buffer = TraceBuffer::with_capacity(1, 16);
     let tracer = SessionTracer::new();
     let root = tracer.open(&buffer, Layer::Session, 1, Instant::now());
@@ -34,48 +29,59 @@ fn trace_buffer_counts_every_truncated_record_exactly() {
     }
     tracer.close(&buffer, root, Instant::now(), 0);
 
-    assert_eq!(buffer.truncated_records(), 11);
+    assert_eq!(buffer.truncated_records(), 10);
     let trace = buffer.latest().expect("root close completes the trace");
-    assert_eq!(trace.records.len(), 16);
-    // The drop policy is keep-oldest: the root open survives, the close
-    // marker is among the truncated tail.
+    assert_eq!(trace.records.len(), 17);
+    // The drop policy is keep-oldest, but the root's close survives, so
+    // the export of a truncated trace stays balanced and valid.
     assert_eq!(buffer.traces().len(), 1);
+    let json = render_chrome_json(&chrome_events(&trace));
+    let stats = validate_chrome_trace(&json).expect("truncated trace exports validly");
+    assert_eq!(stats.span_pairs, 1);
 
     // A second, smaller session on the same buffer leaves the tally
     // untouched — truncation is counted per record, not per trace.
     let tracer = SessionTracer::new();
     let root = tracer.open(&buffer, Layer::Session, 1, Instant::now());
     tracer.close(&buffer, root, Instant::now(), 0);
-    assert_eq!(buffer.truncated_records(), 11);
+    assert_eq!(buffer.truncated_records(), 10);
     assert_eq!(buffer.traces().len(), 1, "capacity 1 evicts the old trace");
 }
 
+/// One traversal on a fresh session, failing under `stage` when given.
+fn traversal(buffer: &TraceBuffer, failed_stage: Option<&str>) -> SessionTraceId {
+    let tracer = SessionTracer::new();
+    let root = tracer.open(buffer, Layer::Session, 1, Instant::now());
+    if let Some(stage) = failed_stage {
+        let event = TraceEvent::SessionFailed {
+            stage,
+            layer: Layer::Gamma,
+        };
+        tracer.record(buffer, &event);
+    }
+    tracer.close(buffer, root, Instant::now(), 0);
+    tracer.session()
+}
+
 #[test]
-fn recorder_lifecycle_ring_wraps_and_stays_monotonic() {
-    let recorder = Recorder::with_ring_capacity(4);
-    for i in 0..7usize {
-        recorder.record(&TraceEvent::SessionFinished {
-            final_state: "s9",
-            exchanges: i,
-        });
-    }
-    let recent = recorder.recent();
-    assert_eq!(recent.len(), 4, "ring keeps only the newest entries");
-    // The oldest three entries were evicted: what remains are the
-    // records for exchanges 3..=6, in order.
-    for (entry, exchanges) in recent.iter().zip(3usize..) {
-        assert!(
-            entry.contains(&format!("exchanges: {exchanges}")),
-            "expected exchanges {exchanges} in {entry}"
-        );
-    }
-    // Offsets are stamped from one epoch, so they never go backwards —
-    // even across the wraparound.
-    let offsets: Vec<u64> = recent.iter().map(|e| ring_offset_ns(e)).collect();
-    assert!(
-        offsets.windows(2).all(|w| w[0] <= w[1]),
-        "ring offsets must be monotonic: {offsets:?}"
-    );
+fn failed_traces_are_kept_apart_four_per_stage() {
+    let buffer = TraceBuffer::with_capacity(2, 64);
+    let mtl: Vec<SessionTraceId> = (0..5).map(|_| traversal(&buffer, Some("mtl"))).collect();
+    let net = traversal(&buffer, Some("net"));
+    let good: Vec<SessionTraceId> = (0..5).map(|_| traversal(&buffer, None)).collect();
+    // The last four failures of each stage outlive later successes, and
+    // every kept trace comes back in completion order.
+    let kept: Vec<SessionTraceId> = buffer.traces().iter().map(|t| t.session).collect();
+    let expected: Vec<SessionTraceId> = mtl[1..]
+        .iter()
+        .chain([&net, &good[3], &good[4]])
+        .copied()
+        .collect();
+    assert_eq!(kept, expected);
+    let trace = buffer.trace(net).expect("a kept failure is found by id");
+    let failure = trace.records.iter().find(|r| r.name == "session-failed");
+    assert_eq!(failure.unwrap().detail, "stage=net layer=gamma");
+    assert_eq!(buffer.latest().unwrap().session, good[4]);
 }
 
 const STAGES: [&str; 4] = ["parse", "translate", "net", "stalled"];

@@ -15,7 +15,7 @@
 //!   stall watchdog flags it and health degrades while holding.
 
 use starlink::apps::calculator::{add_plus_mediator, run_add_workload, PlusService};
-use starlink::core::{MediatorHost, OpsConfig};
+use starlink::core::{MediatorHost, OpsConfig, TraceBuffer};
 use starlink::net::{Endpoint, NetworkEngine, TcpTransport};
 use starlink::telemetry::{chrome_events, render_chrome_json, render_timeline};
 use std::sync::Arc;
@@ -42,7 +42,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(0);
 
     let mut mediator = add_plus_mediator(net.clone(), plus.endpoint().clone())?;
-    let (traces, flight) = mediator.enable_tracing();
+    // Captured field values are retained and served verbatim; a buffer
+    // built with `TraceBuffer::with_redaction` rewrites them first.
+    let traces = mediator.enable_tracing(TraceBuffer::new());
     if diag_addr.is_some() || stall_demo {
         mediator.enable_ops(OpsConfig::watching(Duration::from_secs(1)));
     }
@@ -112,10 +114,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(trace) = traced {
         println!("\n--- latest session trace ---");
         print!("{}", render_timeline(&chrome_events(&trace)));
-        let captures = flight.captures(trace.session);
-        println!("--- flight recorder ({} captures) ---", captures.len());
+        // The trace carries the messages it captured, fields included.
+        let captures: Vec<_> = trace
+            .records
+            .iter()
+            .filter(|r| r.name == "message")
+            .collect();
+        println!("--- message captures ({}) ---", captures.len());
         for c in &captures {
-            println!("  {} {}", c.stage, c.message);
+            let fields: Vec<String> = c.args.iter().map(|(k, v)| format!("{k}={v}")).collect();
+            println!("  {} {}", c.detail, fields.join(" "));
         }
     }
 
